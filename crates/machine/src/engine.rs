@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use archline_core::HierWorkload;
 
-use crate::noise::{gauss, RunNoise};
+use crate::noise::{box_muller, gauss_uniforms, RunNoise};
 use crate::spec::{PlatformSpec, Quirk};
 
 /// One constant-power stretch of a run-length-encoded profile.
@@ -22,45 +22,84 @@ pub struct Segment {
 /// encoded [`Segment`]s, as produced by the closed-form fast path. Both
 /// representations share exact `power_at`/`energy` semantics; a time on a
 /// boundary belongs to the later tick/segment.
+///
+/// A tick profile stores what the tick loop drew, not the power it implies:
+/// each tick's Box–Muller uniform pair, its OS-interference power (kept only
+/// for specs with that quirk), and the run constants. A tick's power is
+/// evaluated when [`StepProfile::power_at`] or [`StepProfile::energy`]
+/// reads it, with the loop's arithmetic in the loop's operation order, so
+/// every value has the bits eager evaluation would have given it. The
+/// measurement chain reads about one tick in ten (PowerMon's 1,024 Hz
+/// samples over 10 kHz ticks), so the transcendental work of the other
+/// nine is never done.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StepProfile {
     dt: f64,
-    watts: Vec<f64>,
     duration: f64,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    segments: Option<Vec<Segment>>,
+    steps: Steps,
+}
+
+/// The two profile representations.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum Steps {
+    Ticks(Ticks),
+    Segments(Vec<Segment>),
+}
+
+/// The per-tick draws and run constants of a tick-integrated run.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Ticks {
+    /// Constant power π₁, W.
+    const_power: f64,
+    /// Steady operation power times the run's power factor, W.
+    ops_power: f64,
+    /// Relative sigma of the per-tick power noise.
+    tick_sigma: f64,
+    /// Each tick's Box–Muller uniform pair, in draw order.
+    uniforms: Vec<[f64; 2]>,
+    /// Each tick's OS-interference power, W; empty when the spec has no
+    /// such quirk (every tick then adds exactly `0.0`).
+    extra: Vec<f64>,
+}
+
+impl Ticks {
+    /// Power drawn during tick `i`: the tick loop's
+    /// `const + ops · max(1 + σ·g, 0) + extra`, same operations, same order.
+    fn watts(&self, i: usize) -> f64 {
+        let tick_noise = 1.0 + self.tick_sigma * box_muller(self.uniforms[i]);
+        let extra = self.extra.get(i).copied().unwrap_or(0.0);
+        self.const_power + self.ops_power * tick_noise.max(0.0) + extra
+    }
 }
 
 impl StepProfile {
-    /// Builds a uniform-tick profile (tick integrator output).
-    pub fn from_ticks(dt: f64, watts: Vec<f64>, duration: f64) -> Self {
-        Self { dt, watts, duration, segments: None }
-    }
-
     /// Builds a run-length-encoded profile from contiguous segments
     /// (closed-form fast-path output). The span is the last segment's end.
     pub fn from_segments(segments: Vec<Segment>) -> Self {
         let duration = segments.last().map_or(0.0, |s| s.until);
-        Self { dt: duration, watts: Vec::new(), duration, segments: Some(segments) }
+        Self { dt: duration, duration, steps: Steps::Segments(segments) }
     }
 
     /// Instantaneous power at time `t` (clamped to the profile's span).
     pub fn power_at(&self, t: f64) -> f64 {
-        if let Some(segments) = &self.segments {
-            if segments.is_empty() {
-                return 0.0;
+        match &self.steps {
+            Steps::Segments(segments) => {
+                if segments.is_empty() {
+                    return 0.0;
+                }
+                // Segment end times are strictly increasing, so the first
+                // segment with `t < until` is a binary-search boundary;
+                // times past the span clamp to the last segment.
+                let idx = segments.partition_point(|s| s.until <= t);
+                segments[idx.min(segments.len() - 1)].watts
             }
-            // Segment end times are strictly increasing, so the first
-            // segment with `t < until` is a binary-search boundary; times
-            // past the span clamp to the last segment.
-            let idx = segments.partition_point(|s| s.until <= t);
-            return segments[idx.min(segments.len() - 1)].watts;
+            Steps::Ticks(ticks) => {
+                if ticks.uniforms.is_empty() {
+                    return 0.0;
+                }
+                ticks.watts(((t / self.dt) as usize).min(ticks.uniforms.len() - 1))
+            }
         }
-        if self.watts.is_empty() {
-            return 0.0;
-        }
-        let idx = ((t / self.dt) as usize).min(self.watts.len() - 1);
-        self.watts[idx]
     }
 
     /// Total span, seconds.
@@ -70,21 +109,23 @@ impl StepProfile {
 
     /// Exact integral of the profile, Joules.
     pub fn energy(&self) -> f64 {
-        if let Some(segments) = &self.segments {
-            let mut e = 0.0;
-            let mut start = 0.0;
-            for s in segments {
-                e += s.watts * (s.until - start);
-                start = s.until;
-            }
-            return e;
-        }
         let mut e = 0.0;
-        let mut remaining = self.duration;
-        for &w in &self.watts {
-            let span = remaining.min(self.dt);
-            e += w * span;
-            remaining -= span;
+        match &self.steps {
+            Steps::Segments(segments) => {
+                let mut start = 0.0;
+                for s in segments {
+                    e += s.watts * (s.until - start);
+                    start = s.until;
+                }
+            }
+            Steps::Ticks(ticks) => {
+                let mut remaining = self.duration;
+                for i in 0..ticks.uniforms.len() {
+                    let span = remaining.min(self.dt);
+                    e += ticks.watts(i) * span;
+                    remaining -= span;
+                }
+            }
         }
         e
     }
@@ -98,7 +139,10 @@ impl StepProfile {
     /// The run-length-encoded segments, if this profile came from the
     /// closed-form fast path.
     pub fn segments(&self) -> Option<&[Segment]> {
-        self.segments.as_deref()
+        match &self.steps {
+            Steps::Segments(segments) => Some(segments),
+            Steps::Ticks(_) => None,
+        }
     }
 }
 
@@ -182,9 +226,10 @@ impl Engine {
     /// form ([`Engine::run_closed_form`]) — same speed, power, and energy,
     /// with a run-length-encoded profile instead of ~`duration/dt` ticks.
     /// The closed form consumes no RNG beyond the per-run noise draw (the
-    /// tick loop burns one Gaussian per tick), so for such specs the `rng`
-    /// stream position after `run` differs from older releases; seeded
-    /// results on noisy specs (all Table I platforms) are unchanged.
+    /// tick loop draws one Gaussian's uniform pair per tick), so for such
+    /// specs the `rng` stream position after `run` differs from older
+    /// releases; seeded results on noisy specs (all Table I platforms) are
+    /// unchanged.
     ///
     /// # Panics
     /// Panics if the spec fails validation or the workload exercises a
@@ -328,6 +373,12 @@ impl Engine {
 
     /// The per-tick integrator (reference path; also handles OS
     /// interference and per-tick noise, which the closed form cannot).
+    ///
+    /// Each tick draws, in order, the OS-interference decision (quirked
+    /// specs only) and the uniform pair of its power-noise Gaussian. The
+    /// profile keeps the pair and evaluates the Gaussian only when a tick's
+    /// power is read (see [`StepProfile`]); the RNG stream and every power
+    /// value are the same as evaluating it here.
     fn run_ticks<R: Rng>(
         &self,
         spec: &PlatformSpec,
@@ -342,17 +393,21 @@ impl Engine {
 
         let mut progress = 0.0f64;
         let mut time = 0.0f64;
-        let mut watts = Vec::with_capacity((t_max / self.dt) as usize + 8);
+        let capacity = (t_max / self.dt) as usize + 8;
+        let mut uniforms = Vec::with_capacity(capacity);
+        let mut extra = Vec::new();
+        if matches!(spec.quirk, Quirk::OsInterference { .. }) {
+            extra.reserve(capacity);
+        }
         // OS-interference episode bookkeeping.
         let mut episode_left = 0.0f64;
 
         while progress < 1.0 {
             let mut s = steady_s;
-            let p_ops = steady_p_ops;
-            let mut extra_power = 0.0;
             if let Quirk::OsInterference { rate_hz, mean_secs, slowdown, extra_power_frac } =
                 spec.quirk
             {
+                let mut extra_power = 0.0;
                 if episode_left > 0.0 {
                     episode_left -= self.dt;
                     s *= slowdown;
@@ -360,29 +415,31 @@ impl Engine {
                 } else if rng.gen_bool((rate_hz * self.dt).min(1.0)) {
                     episode_left = mean_secs * (0.5 + rng.gen_range(0.0..1.0));
                 }
+                extra.push(extra_power);
             }
+            uniforms.push(gauss_uniforms(rng));
 
-            let tick_noise = 1.0 + spec.noise.tick_sigma * gauss(rng);
-            let power = spec.const_power
-                + p_ops * run_noise.power_factor * tick_noise.max(0.0)
-                + extra_power;
             let step = s * self.dt;
             if progress + step >= 1.0 {
                 // Final, partial tick.
-                let needed = (1.0 - progress) / s;
-                watts.push(power);
-                time += needed;
+                time += (1.0 - progress) / s;
                 progress = 1.0;
             } else {
-                watts.push(power);
                 progress += step;
                 time += self.dt;
             }
         }
 
+        let ticks = Ticks {
+            const_power: spec.const_power,
+            ops_power: steady_p_ops * run_noise.power_factor,
+            tick_sigma: spec.noise.tick_sigma,
+            uniforms,
+            extra,
+        };
         Execution {
             duration: time,
-            profile: StepProfile::from_ticks(self.dt, watts, time),
+            profile: StepProfile { dt: self.dt, duration: time, steps: Steps::Ticks(ticks) },
         }
     }
 }
@@ -575,7 +632,16 @@ mod tests {
 
     #[test]
     fn step_profile_lookup() {
-        let p = StepProfile::from_ticks(0.1, vec![1.0, 2.0, 3.0], 0.25);
+        // Zero tick sigma and zero operation power make each tick's power
+        // its stored extra term exactly, so the lookups read known values.
+        let ticks = Ticks {
+            const_power: 0.0,
+            ops_power: 0.0,
+            tick_sigma: 0.0,
+            uniforms: vec![[0.5, 0.25]; 3],
+            extra: vec![1.0, 2.0, 3.0],
+        };
+        let p = StepProfile { dt: 0.1, duration: 0.25, steps: Steps::Ticks(ticks) };
         assert_eq!(p.power_at(0.05), 1.0);
         assert_eq!(p.power_at(0.15), 2.0);
         assert_eq!(p.power_at(0.22), 3.0);

@@ -87,12 +87,15 @@ impl<'a> MeasurePlan<'a> {
         let spec = self.plan.spec();
         let mut rng = StdRng::seed_from_u64(seed);
         let execution = self.engine.run_planned(&self.plan, workload, &mut rng);
-        let m = self.device.record(
-            &spec.rail_split,
-            |t| execution.profile.power_at(t),
-            execution.duration,
-            &mut rng,
-        );
+        let m = {
+            let _span = obs::span(obs::Level::Trace, "powermon", "record");
+            self.device.record(
+                &spec.rail_split,
+                |t| execution.profile.power_at(t),
+                execution.duration,
+                &mut rng,
+            )
+        };
         RunResult {
             workload: workload.clone(),
             duration: execution.duration,

@@ -16,8 +16,8 @@
 //!   ([`JsonlSink`], wired to `--trace-out` / `ARCHLINE_TRACE`), and an
 //!   in-memory capture sink for tests ([`test_support::capture`]).
 //! * **A self-time profile** ([`profile`]): per-(target, name) span
-//!   statistics with self time (total minus child time), behind
-//!   `repro --profile`.
+//!   statistics with self time (total minus child and wait time) and wait
+//!   time (blocked in [`span::wait`]), behind `repro --profile`.
 //! * **A flight recorder** ([`FlightRecorder`]): a fixed-capacity ring of
 //!   the most recent events, installed as a sink and dumped as JSONL only
 //!   on incident (breaker trip, caught panic, shed-rate spike) — see
@@ -50,6 +50,7 @@ pub mod git;
 pub mod json;
 pub mod metrics;
 pub mod profile;
+pub mod scope;
 pub mod sink;
 pub mod span;
 pub mod test_support;
@@ -59,8 +60,9 @@ pub use flight::FlightRecorder;
 pub use git::git_revision;
 pub use metrics::{counter, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot};
 pub use profile::{profile_snapshot, render_profile, set_profiling, ProfileEntry};
+pub use scope::{current_scope, Scope, ScopeGuard};
 pub use sink::{install_sink, remove_sink, CaptureSink, JsonlSink, Sink, SinkId};
-pub use span::{span, span_with, Span};
+pub use span::{span, span_with, wait, Span};
 
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 

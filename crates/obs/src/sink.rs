@@ -193,26 +193,22 @@ impl Sink for JsonlSink {
     }
 }
 
-/// In-memory sink for tests: records owned copies of every event.
+/// In-memory sink for tests: records owned copies of the events emitted
+/// under one [`Scope`](crate::Scope) (see [`crate::test_support::capture`]).
 pub struct CaptureSink {
     events: Mutex<Vec<crate::OwnedEvent>>,
+    scope: crate::Scope,
 }
 
 impl CaptureSink {
-    /// An empty capture.
-    pub fn new() -> Self {
-        Self { events: Mutex::new(Vec::new()) }
+    /// An empty capture of the events emitted under `scope`.
+    pub fn new(scope: crate::Scope) -> Self {
+        Self { events: Mutex::new(Vec::new()), scope }
     }
 
     /// Takes everything captured so far.
     pub fn drain(&self) -> Vec<crate::OwnedEvent> {
         std::mem::take(&mut *self.events.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-impl Default for CaptureSink {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -222,7 +218,10 @@ impl Sink for CaptureSink {
     }
 
     fn emit(&self, ev: &Event<'_>) {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).push(ev.to_owned());
+        // Sinks run on the emitting thread, so its scope is current here.
+        if self.scope == crate::current_scope() {
+            self.events.lock().unwrap_or_else(|e| e.into_inner()).push(ev.to_owned());
+        }
     }
 }
 

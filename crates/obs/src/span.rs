@@ -8,6 +8,11 @@
 //! opened on an executor worker roots a fresh tree on that worker, which is
 //! exactly how work-stealing execution looks from the inside.
 //!
+//! Time a span spends blocked — joining another thread, waiting on a
+//! condition variable — is booked as *wait* through [`wait`], not as self
+//! time, so a span that only waits for work done elsewhere does not look
+//! like work.
+//!
 //! Panic safety: the guard closes in `Drop`, so a span opened inside a task
 //! that panics still closes while the panic unwinds toward the executor's
 //! `catch_unwind` — no dangling `span_open` in the trace.
@@ -25,6 +30,8 @@ struct StackEntry {
     id: u64,
     /// Wall time spent in already-closed direct children, ns.
     child_ns: u64,
+    /// Wall time spent blocked in [`wait`] outside children, ns.
+    wait_ns: u64,
 }
 
 thread_local! {
@@ -70,7 +77,7 @@ pub fn span_with(
     let parent = STACK.with(|s| {
         let mut s = s.borrow_mut();
         let parent = s.last().map_or(0, |e| e.id);
-        s.push(StackEntry { id, child_ns: 0 });
+        s.push(StackEntry { id, child_ns: 0, wait_ns: 0 });
         parent
     });
     if emit {
@@ -100,23 +107,21 @@ impl Drop for Span {
         // Pop this span's stack entry. Guards drop LIFO in straight-line
         // code; if user code dropped guards out of order, remove by id so
         // the stack cannot grow without bound.
-        let child_ns = STACK.with(|s| {
+        let (child_ns, wait_ns) = STACK.with(|s| {
             let mut s = s.borrow_mut();
-            let child_ns = match s.last() {
-                Some(top) if top.id == inner.id => s.pop().map(|e| e.child_ns).unwrap_or(0),
-                _ => match s.iter().rposition(|e| e.id == inner.id) {
-                    Some(idx) => s.remove(idx).child_ns,
-                    None => 0,
-                },
+            let entry = match s.last() {
+                Some(top) if top.id == inner.id => s.pop(),
+                _ => s.iter().rposition(|e| e.id == inner.id).map(|idx| s.remove(idx)),
             };
             if let Some(parent) = s.last_mut() {
                 parent.child_ns = parent.child_ns.saturating_add(dur_ns);
             }
-            child_ns
+            entry.map_or((0, 0), |e| (e.child_ns, e.wait_ns))
         });
-        let self_ns = dur_ns.saturating_sub(child_ns);
+        let wait_ns = wait_ns.min(dur_ns.saturating_sub(child_ns));
+        let self_ns = dur_ns.saturating_sub(child_ns).saturating_sub(wait_ns);
         if crate::profile::profiling() {
-            crate::profile::record(inner.target, inner.name, dur_ns, self_ns);
+            crate::profile::record(inner.target, inner.name, dur_ns, self_ns, wait_ns);
         }
         if inner.emitted {
             dispatch(&Event {
@@ -136,6 +141,29 @@ impl Drop for Span {
     }
 }
 
+/// Runs `f`, which should block (join a thread, wait on a condition
+/// variable), and books its wall time to the innermost open span on this
+/// thread as wait rather than self time. Spans closed inside `f` still
+/// count as that span's children, not as wait. With no live span on this
+/// thread, `f` just runs: no clock read.
+pub fn wait<T>(f: impl FnOnce() -> T) -> T {
+    let Some((id, child_before)) =
+        STACK.with(|s| s.borrow().last().map(|e| (e.id, e.child_ns)))
+    else {
+        return f();
+    };
+    let start = Instant::now();
+    let out = f();
+    let elapsed = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+    STACK.with(|s| {
+        if let Some(top) = s.borrow_mut().last_mut().filter(|e| e.id == id) {
+            let children = top.child_ns.saturating_sub(child_before);
+            top.wait_ns = top.wait_ns.saturating_add(elapsed.saturating_sub(children));
+        }
+    });
+    out
+}
+
 impl Span {
     /// Whether this span is live (a sink or the profiler is watching).
     pub fn is_active(&self) -> bool {
@@ -152,6 +180,14 @@ impl Span {
 mod tests {
     use super::*;
     use crate::test_support::capture;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that switch the process-wide profiler on and
+    /// off, so one cannot switch it off under another's open span.
+    fn profiling_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn spans_nest_and_close_in_order() {
@@ -195,6 +231,53 @@ mod tests {
             events.iter().filter(|e| e.kind == EventKind::SpanClose && e.name == "doomed").count();
         assert_eq!(opens, 1);
         assert_eq!(closes, 1, "drop during unwind must close the span");
+    }
+
+    #[test]
+    fn span_blocked_on_a_child_thread_reports_wait_not_self_time() {
+        let _serial = profiling_lock();
+        crate::profile::set_profiling(true);
+        {
+            let _s = span(Level::Trace, "wtest", "blocked");
+            let child = std::thread::spawn(|| {
+                std::thread::sleep(std::time::Duration::from_millis(40));
+            });
+            wait(|| child.join()).expect("child thread");
+        }
+        crate::profile::set_profiling(false);
+        let rows = crate::profile::profile_snapshot();
+        let row = rows
+            .iter()
+            .find(|r| r.target == "wtest" && r.name == "blocked")
+            .expect("profiled");
+        assert_eq!(row.count, 1);
+        assert!(row.total_ns >= 40_000_000, "{row:?}");
+        assert!(row.wait_ns >= 39_000_000, "the join is wait: {row:?}");
+        assert!(row.self_ns < 5_000_000, "near-zero self time: {row:?}");
+        assert_eq!(row.total_ns, row.self_ns + row.wait_ns, "no children: {row:?}");
+    }
+
+    #[test]
+    fn wait_excludes_spans_closed_inside_it() {
+        let _serial = profiling_lock();
+        crate::profile::set_profiling(true);
+        {
+            let _s = span(Level::Trace, "wtest", "outer");
+            wait(|| {
+                let _c = span(Level::Trace, "wtest", "inner");
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            });
+        }
+        crate::profile::set_profiling(false);
+        let rows = crate::profile::profile_snapshot();
+        let outer = rows.iter().find(|r| r.target == "wtest" && r.name == "outer").unwrap();
+        assert!(outer.wait_ns < 5_000_000, "the child span is not wait: {outer:?}");
+        assert!(outer.self_ns < 5_000_000, "nor self time: {outer:?}");
+    }
+
+    #[test]
+    fn wait_without_a_live_span_just_runs() {
+        assert_eq!(wait(|| 7), 7);
     }
 
     #[test]

@@ -1,15 +1,20 @@
 //! Test helpers: run a closure with an in-memory capture sink installed
 //! and get back everything it emitted.
 //!
-//! Sinks are process-global, so concurrent captures would see each other's
-//! events; a global mutex serializes capture windows across test threads.
-//! (Events emitted by *other* threads during the window — e.g. executor
-//! workers started inside the closure — are captured too, which is exactly
-//! what the span-nesting tests want.)
+//! Sinks are process-global, and the test harness runs tests on parallel
+//! threads, so a capture window would also hear every other test that emits
+//! while it is open. `capture` therefore runs the closure under a fresh
+//! [`Scope`] and keeps only events emitted under it: the capturing thread's
+//! own, plus those of the threads and executor tasks it puts to work (the
+//! executor and the serve crate's shard and connection threads carry the
+//! submitter's scope across, see [`crate::scope`]). A global mutex still
+//! serializes capture windows, because the stderr level and the sink set
+//! are process-wide.
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::event::OwnedEvent;
+use crate::scope::Scope;
 use crate::sink::CaptureSink;
 
 fn capture_lock() -> MutexGuard<'static, ()> {
@@ -18,16 +23,21 @@ fn capture_lock() -> MutexGuard<'static, ()> {
 }
 
 /// Runs `f` with a fresh capture sink installed; returns `f`'s result and
-/// every event emitted during the window, in `seq` order.
+/// every event emitted during the window under `f`'s scope (the calling
+/// thread and the work it hands to other threads), in `seq` order.
 ///
 /// The sink is removed even if `f` panics (the panic is then propagated),
 /// so one failing test cannot leave global tracing enabled for the rest of
 /// the suite.
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<OwnedEvent>) {
     let _guard = capture_lock();
-    let sink = Arc::new(CaptureSink::new());
+    let scope = Scope::fresh();
+    let sink = Arc::new(CaptureSink::new(scope));
     let id = crate::install_sink(sink.clone());
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    let result = {
+        let _in_scope = scope.enter();
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+    };
     crate::remove_sink(id);
     let mut events = sink.drain();
     events.sort_by_key(|e| e.seq);
@@ -68,5 +78,36 @@ mod tests {
         });
         assert!(events.iter().any(|e| e.name == "after"));
         assert!(!events.iter().any(|e| e.name == "pre-panic"));
+    }
+
+    #[test]
+    fn capture_keeps_its_own_threads_and_drops_bystanders() {
+        use std::sync::mpsc;
+        // A bystander thread (standing in for a parallel test) emits while
+        // the window is open; a worker the closure starts emits under the
+        // handed-over scope.
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let bystander = std::thread::spawn(move || {
+            go_rx.recv().unwrap();
+            crate::emit(Level::Info, "tsup", "bystander", &[]);
+            done_tx.send(()).unwrap();
+        });
+        let ((), events) = capture(|| {
+            crate::emit(Level::Info, "tsup", "mine", &[]);
+            go_tx.send(()).unwrap();
+            done_rx.recv().unwrap();
+            let scope = crate::current_scope();
+            std::thread::spawn(move || {
+                let _g = scope.enter();
+                crate::emit(Level::Info, "tsup", "worker", &[]);
+            })
+            .join()
+            .unwrap();
+        });
+        bystander.join().unwrap();
+        let names: Vec<&str> =
+            events.iter().filter(|e| e.target == "tsup").map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["mine", "worker"]);
     }
 }

@@ -93,11 +93,13 @@ impl Batch {
     }
 }
 
-/// A queued task: an erased job plus the batch it belongs to (detached
-/// tasks have no batch).
+/// A queued task: an erased job, the batch it belongs to (detached tasks
+/// have no batch), and the submitter's event scope, which the task runs
+/// under on whichever thread executes it.
 struct Task {
     batch: Option<Arc<Batch>>,
     job: ErasedJob,
+    scope: obs::Scope,
 }
 
 /// State shared between workers and submitters.
@@ -200,9 +202,10 @@ impl Executor {
 
         let batch = Arc::new(Batch::new(jobs.len()));
         let n = jobs.len();
+        let scope = obs::current_scope();
         let tasks: Vec<Task> = jobs
             .into_iter()
-            .map(|job| Task { batch: Some(Arc::clone(&batch)), job: erase(job) })
+            .map(|job| Task { batch: Some(Arc::clone(&batch)), job: erase(job), scope })
             .collect();
 
         BATCHES.inc();
@@ -243,15 +246,19 @@ impl Executor {
             if let Some(task) = find_task(&self.shared, me) {
                 execute(task);
             } else {
-                let guard = lock(&batch.done_lock);
-                // ordering: Acquire — same pairing as the loop condition;
-                // re-checked under `done_lock` so the completion notify
-                // cannot slip between check and wait.
-                if batch.remaining.load(Ordering::Acquire) != 0 {
-                    // Timeout guards against sleeping through work becoming
-                    // stealable; completion itself is notified under the lock.
-                    let _ = batch.done_cv.wait_timeout(guard, Duration::from_micros(200));
-                }
+                // Blocked on other workers' tasks: the batch span's wait,
+                // not its work.
+                obs::wait(|| {
+                    let guard = lock(&batch.done_lock);
+                    // ordering: Acquire — same pairing as the loop condition;
+                    // re-checked under `done_lock` so the completion notify
+                    // cannot slip between check and wait.
+                    if batch.remaining.load(Ordering::Acquire) != 0 {
+                        // Timeout guards against sleeping through work becoming
+                        // stealable; completion itself is notified under the lock.
+                        let _ = batch.done_cv.wait_timeout(guard, Duration::from_micros(200));
+                    }
+                });
             }
         }
 
@@ -279,9 +286,10 @@ impl Executor {
     /// [`crate::ThreadPool`] facade, which layers its own completion and
     /// panic accounting on top.
     pub(crate) fn spawn_detached(&self, job: ErasedJob) {
+        let task = Task { batch: None, job, scope: obs::current_scope() };
         match current_worker_on(&self.shared) {
-            Some(idx) => lock(&self.shared.queues[idx]).push_back(Task { batch: None, job }),
-            None => lock(&self.shared.injector).push_back(Task { batch: None, job }),
+            Some(idx) => lock(&self.shared.queues[idx]).push_back(task),
+            None => lock(&self.shared.injector).push_back(task),
         }
         // ordering: Relaxed — sleep-gate hint; the task is published by the
         // deque/injector mutex above and sleepers re-check under `idle_lock`
@@ -394,9 +402,10 @@ fn find_task(shared: &Shared, me: Option<usize>) -> Option<Task> {
 /// Runs one task, capturing a panic into its batch and signalling the
 /// joiner when the batch completes.
 fn execute(task: Task) {
-    let Task { batch, job } = task;
+    let Task { batch, job, scope } = task;
     TASKS.inc();
     let result = {
+        let _scope = scope.enter();
         // Opened before `catch_unwind` so a panicking job still closes its
         // span during unwind — the trace never shows a dangling task.
         let _span = obs::span(obs::Level::Trace, "par", "task");

@@ -31,9 +31,15 @@ impl Adc {
 
     /// Converts `value` through noise + quantization, clamping to range.
     pub fn convert<R: Rng>(&self, value: f64, rng: &mut R) -> f64 {
+        self.convert_stepped(value, self.step(), rng)
+    }
+
+    /// [`Adc::convert`] with the quantization step precomputed by the
+    /// caller (`step` must be [`Adc::step`]), for loops that convert many
+    /// samples through the same converter.
+    pub(crate) fn convert_stepped<R: Rng>(&self, value: f64, step: f64, rng: &mut R) -> f64 {
         let noisy = value * (1.0 + self.noise_sigma * gauss(rng));
         let clamped = noisy.clamp(0.0, self.full_scale);
-        let step = self.step();
         (clamped / step).round() * step
     }
 }

@@ -144,19 +144,28 @@ impl PowerMon2 {
         let n_samples = ((duration * hz).floor() as usize).max(1);
         let mut raw: Vec<Vec<Sample>> =
             self.channels.iter().map(|_| Vec::with_capacity(n_samples)).collect();
+        // Per-channel ADC steps, hoisted: each is the same division every
+        // sample. The rail split lands in a stack buffer, not a fresh Vec.
+        let mut steps = [(0.0, 0.0); Self::MAX_CHANNELS];
+        for (step, cfg) in steps.iter_mut().zip(&self.channels) {
+            *step = (cfg.volt_adc.step(), cfg.curr_adc.step());
+        }
+        let mut alloc_buf = [0.0; Self::MAX_CHANNELS];
+        let alloc = &mut alloc_buf[..self.channels.len()];
         for k in 0..n_samples {
             let t = (k as f64 + 0.5) / hz; // mid-interval sampling
             let total = power_fn(t).max(0.0);
-            let alloc = split.split(total);
-            for ((samples, cfg), (watts, rail)) in raw
+            split.split_into(total, alloc);
+            for (((samples, cfg), &(volt_step, curr_step)), (watts, rail)) in raw
                 .iter_mut()
                 .zip(&self.channels)
+                .zip(&steps)
                 .zip(alloc.iter().zip(split.rails()))
             {
                 let true_volts = rail.nominal_volts * (1.0 + cfg.ripple_sigma * gauss(rng));
                 let true_amps = if true_volts > 0.0 { watts / true_volts } else { 0.0 };
-                let meas_volts = cfg.volt_adc.convert(true_volts, rng);
-                let meas_amps = cfg.curr_adc.convert(true_amps, rng);
+                let meas_volts = cfg.volt_adc.convert_stepped(true_volts, volt_step, rng);
+                let meas_amps = cfg.curr_adc.convert_stepped(true_amps, curr_step, rng);
                 samples.push(Sample { time: t, watts: meas_volts * meas_amps });
             }
         }

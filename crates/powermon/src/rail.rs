@@ -68,10 +68,24 @@ impl RailSplit {
     /// demand still exceeds the total limit, the remainder is assigned to
     /// the last rail (the measurement must still account for all power).
     pub fn split(&self, watts: f64) -> Vec<f64> {
+        let mut alloc = vec![0.0; self.rails.len()];
+        self.split_into(watts, &mut alloc);
+        alloc
+    }
+
+    /// [`RailSplit::split`] into a caller-owned buffer, one slot per rail,
+    /// so a sampling loop can split every sample without allocating.
+    ///
+    /// # Panics
+    /// Panics if `alloc.len()` differs from the rail count or `watts` is
+    /// negative or not finite.
+    pub fn split_into(&self, watts: f64, alloc: &mut [f64]) {
         assert!(watts >= 0.0 && watts.is_finite(), "power must be non-negative");
+        assert_eq!(alloc.len(), self.rails.len(), "one output slot per rail");
         let total_weight: f64 = self.rails.iter().map(|r| r.weight).sum();
-        let mut alloc: Vec<f64> =
-            self.rails.iter().map(|r| watts * r.weight / total_weight).collect();
+        for (a, r) in alloc.iter_mut().zip(&self.rails) {
+            *a = watts * r.weight / total_weight;
+        }
         // Iteratively clamp over-limit rails, spilling to the rest.
         for _ in 0..self.rails.len() {
             let mut excess = 0.0;
@@ -103,7 +117,6 @@ impl RailSplit {
                 }
             }
         }
-        alloc
     }
 }
 

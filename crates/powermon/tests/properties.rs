@@ -27,8 +27,83 @@ fn arb_split() -> impl Strategy<Value = RailSplit> {
     )
 }
 
+/// Independent replica of the allocating rail split: weights first, then
+/// clamp over-limit rails and spill the excess over the rest, with any
+/// unplaceable remainder on the last rail.
+fn split_replica(split: &RailSplit, watts: f64) -> Vec<f64> {
+    let rails = split.rails();
+    let total_weight: f64 = rails.iter().map(|r| r.weight).sum();
+    let mut alloc: Vec<f64> = rails.iter().map(|r| watts * r.weight / total_weight).collect();
+    for _ in 0..rails.len() {
+        let (mut excess, mut free_weight) = (0.0, 0.0);
+        for (a, r) in alloc.iter_mut().zip(rails) {
+            match r.max_watts {
+                Some(max) if *a > max => {
+                    excess += *a - max;
+                    *a = max;
+                }
+                Some(max) if *a >= max => {}
+                _ => free_weight += r.weight,
+            }
+        }
+        if excess <= 1e-12 {
+            break;
+        }
+        if free_weight == 0.0 {
+            *alloc.last_mut().unwrap() += excess;
+            break;
+        }
+        for (a, r) in alloc.iter_mut().zip(rails) {
+            if r.max_watts.is_none_or(|m| *a < m) {
+                *a += excess * r.weight / free_weight;
+            }
+        }
+    }
+    alloc
+}
+
+/// `split_into` writes exactly what `split` returns and what the replica
+/// computes, bit for bit, into a reused buffer.
+fn assert_split_into_matches(split: &RailSplit, watts: f64) {
+    let mut buf = [f64::NAN; PowerMon2::MAX_CHANNELS];
+    let n = split.rails().len();
+    split.split_into(watts, &mut buf[..n]);
+    let bits = |v: &[f64]| v.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&buf[..n]), bits(&split.split(watts)), "split_into vs split at {watts} W");
+    assert_eq!(bits(&buf[..n]), bits(&split_replica(split, watts)), "vs replica at {watts} W");
+}
+
+#[test]
+fn split_into_matches_split_when_clamping_and_spilling() {
+    let slot_and_connector = RailSplit::new(vec![
+        Rail::limited("slot", 12.0, 1.0, 75.0),
+        Rail::new("8pin", 12.0, 2.0),
+    ]);
+    let all_limited = RailSplit::new(vec![
+        Rail::limited("a", 12.0, 1.0, 10.0),
+        Rail::limited("b", 12.0, 3.0, 10.0),
+    ]);
+    let cascade = RailSplit::new(vec![
+        Rail::limited("slot", 12.0, 2.0, 20.0),
+        Rail::limited("6pin", 12.0, 1.0, 40.0),
+        Rail::new("8pin", 12.0, 1.0),
+    ]);
+    for split in [&slot_and_connector, &all_limited, &cascade, &RailSplit::single("brick", 5.0)] {
+        // Below every limit, at a limit, over one limit (spill), over
+        // every limit (remainder on the last rail), and zero.
+        for watts in [0.0, 7.5, 20.0, 40.0, 90.0, 225.0, 300.0, 1e4] {
+            assert_split_into_matches(split, watts);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    #[test]
+    fn split_into_matches_split(split in arb_split(), watts in 0.0..1000.0f64) {
+        assert_split_into_matches(&split, watts);
+    }
 
     #[test]
     fn split_conserves_power(split in arb_split(), watts in 0.0..1000.0f64) {

@@ -392,6 +392,7 @@ fn write_bench(
                     serde_json::Value::from(r.total_ns as f64 / 1e6),
                 );
                 m.insert("self_ms".to_string(), serde_json::Value::from(r.self_ns as f64 / 1e6));
+                m.insert("wait_ms".to_string(), serde_json::Value::from(r.wait_ns as f64 / 1e6));
                 serde_json::Value::Object(m)
             })
             .collect();

@@ -88,11 +88,12 @@ fn get_array(obj: &Value, key: &str) -> Vec<Value> {
     }
 }
 
-/// Rebuilds an obs histogram snapshot from the metrics op's JSON
-/// (`{"count":..,"sum":..,"max":..,"mean":..,"buckets":[[le,n],..]}`), so
+/// Rebuilds an obs histogram snapshot from the metrics op's structured
+/// snapshot (`result.json.histograms.<name>`, each
+/// `{"count":..,"sum":..,"max":..,"mean":..,"buckets":[[le,n],..]}`), so
 /// quantiles come from the same estimator the server would use.
 fn histogram(metrics: &Value, name: &str) -> Option<HistogramSnapshot> {
-    let h = metrics.as_object()?.get("histograms")?.as_object()?.get(name)?;
+    let h = metrics.as_object()?.get("json")?.as_object()?.get("histograms")?.as_object()?.get(name)?;
     let count = get_u64(h, "count");
     let buckets = get_array(h, "buckets")
         .iter()

@@ -611,9 +611,13 @@ impl Server {
             .enumerate()
             .map(|(shard_idx, rx)| {
                 let inner = Arc::clone(&inner);
+                let scope = obs::current_scope();
                 std::thread::Builder::new()
                     .name(format!("serve-shard-{shard_idx}"))
-                    .spawn(move || worker_loop(inner, shard_idx, rx))
+                    .spawn(move || {
+                        let _scope = scope.enter();
+                        worker_loop(inner, shard_idx, rx)
+                    })
                     .map_err(|e| format!("spawn shard {shard_idx}: {e}"))
             })
             .collect::<Result<Vec<_>, String>>()?;

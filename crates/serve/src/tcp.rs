@@ -54,7 +54,9 @@ pub fn serve_tcp(
         };
         let handle = handle.clone();
         let shutdown = Arc::clone(&shutdown);
+        let scope = obs::current_scope();
         let _ = std::thread::Builder::new().name("serve-conn".to_string()).spawn(move || {
+            let _scope = scope.enter();
             let peer =
                 stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".to_string());
             if let Err(e) = handle_connection(stream, &handle, allow_shutdown, &shutdown) {
@@ -83,8 +85,10 @@ fn handle_connection(
     let (tx, rx) = mpsc::channel::<Out>();
     let wire_handle = handle.clone();
 
+    let scope = obs::current_scope();
     let writer_thread = std::thread::Builder::new().name("serve-conn-writer".to_string()).spawn(
         move || -> std::io::Result<()> {
+            let _scope = scope.enter();
             for out in rx {
                 let line = match out {
                     Out::Ticket(t) => {
