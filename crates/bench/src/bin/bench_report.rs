@@ -1,5 +1,5 @@
 //! `bench_report` — measures the batch-evaluation speedups and writes
-//! `BENCH_model.json` (schema v5, see [`archline_bench::BENCH_SCHEMA_VERSION`])
+//! `BENCH_model.json` (schema v7, see [`archline_bench::BENCH_SCHEMA_VERSION`])
 //! into the current directory (the repo root in CI).
 //!
 //! Per batch kernel (`avg_power`, `time_energy`, the fused `evaluate`,
@@ -191,7 +191,6 @@ struct ClosedLoop {
     latency_p50_us: f64,
     latency_p99_us: f64,
     mean_batch_occupancy: f64,
-    window_holds: u64,
     plan_cache_hits: u64,
     plan_cache_misses: u64,
     plan_cache_evictions: u64,
@@ -219,8 +218,8 @@ struct ServeBench {
 
 /// Closed-loop clients, each keeping `depth` requests in flight (pipelined
 /// submit-then-drain bursts). `depth = 1` is the strict one-at-a-time mode
-/// schema v4 reported; deeper pipelines are what give the admission window
-/// something to coalesce.
+/// schema v4 reported; deeper pipelines build the queue depth that
+/// batches coalesce from.
 fn serve_closed_loop(clients: usize, depth: usize, queries_per_client: usize) -> ClosedLoop {
     let server = Server::start(ServeConfig::default()).expect("serve engine");
     let handle = server.handle();
@@ -279,7 +278,6 @@ fn serve_closed_loop(clients: usize, depth: usize, queries_per_client: usize) ->
         latency_p50_us: pct(0.50),
         latency_p99_us: pct(0.99),
         mean_batch_occupancy: stats.mean_batch_occupancy(),
-        window_holds: load(&stats.window_holds),
         plan_cache_hits: load(&stats.plan_cache_hits),
         plan_cache_misses: load(&stats.plan_cache_misses),
         plan_cache_evictions: load(&stats.plan_cache_evictions),
@@ -356,8 +354,8 @@ fn serve_open_loop(rate: f64) -> OpenLoopPoint {
 }
 
 /// Drives an in-process archline-serve engine four ways: a pipelined
-/// closed loop (the headline — concurrent load the admission window can
-/// coalesce into wide kernel passes), the strict depth-1 closed loop
+/// closed loop (the headline — concurrent load whose queue depth
+/// coalesces into wide kernel passes), the strict depth-1 closed loop
 /// schema v4 reported (continuity), an open-loop arrival-rate sweep
 /// (offered vs achieved qps through saturation), and a deliberate
 /// overload burst against a small queue for the shed rate (a shed rate of
@@ -696,7 +694,6 @@ fn main() {
     let _ = writeln!(json, "    \"latency_p50_us\": {:.1},", h.latency_p50_us);
     let _ = writeln!(json, "    \"latency_p99_us\": {:.1},", h.latency_p99_us);
     let _ = writeln!(json, "    \"mean_batch_occupancy\": {:.3},", h.mean_batch_occupancy);
-    let _ = writeln!(json, "    \"window_holds\": {},", h.window_holds);
     if let Some(ph) = &h.phases {
         let _ = writeln!(json, "    \"phases_us\": {{");
         let phase_rows: [(&str, &PhasePct); 4] = [

@@ -30,7 +30,10 @@
 ///   window-hold, kernel, total) as reported on the responses' `phases_us`
 ///   envelope, so a regression can be localized to a pipeline stage
 ///   instead of showing up only in end-to-end p99.
-pub const BENCH_SCHEMA_VERSION: u64 = 6;
+/// * v7: the serve engine no longer holds batches open, so the headline
+///   drops its hold count, and its `window` phase now measures batch
+///   assembly (pickup to dispatch) rather than a hold.
+pub const BENCH_SCHEMA_VERSION: u64 = 7;
 
 /// Inspects a prior `BENCH_model.json` about to be replaced and returns a
 /// human-readable warning when it predates `current` (or does not parse) —

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! archline-serve [--addr HOST:PORT] [--shards N] [--queue-bound N]
-//!                [--deadline-ms N] [--max-batch N]
-//!                [--batch-window-us adaptive|off|N] [--plan-cache N]
+//!                [--deadline-ms N] [--max-batch N] [--plan-cache N]
 //!                [--metrics on|off] [--flight-recorder PATH[:CAP]]
 //!                [--inject 'PLATFORM:CLASS:SEVERITY[:SEED]']...
 //!                [--allow-shutdown] [-q] [-v[v]] [--trace-out PATH]
@@ -30,7 +29,7 @@ use archline_faults::{FaultPlan, FaultSpec};
 use archline_obs as obs;
 use archline_platforms::all_platforms;
 use archline_serve::tcp::serve_tcp;
-use archline_serve::{BatchWindow, FlightConfig, ServeConfig, Server};
+use archline_serve::{FlightConfig, ServeConfig, Server};
 
 const EXIT_FATAL: i32 = 1;
 const EXIT_USAGE: i32 = 2;
@@ -41,8 +40,7 @@ fn usage(error: &str) -> ! {
     }
     eprintln!(
         "usage: archline-serve [--addr HOST:PORT] [--shards N] [--queue-bound N] \
-         [--deadline-ms N] [--max-batch N] \
-         [--batch-window-us adaptive|off|N] [--plan-cache N] \
+         [--deadline-ms N] [--max-batch N] [--plan-cache N] \
          [--metrics on|off] [--flight-recorder PATH[:CAP]] \
          [--inject 'PLATFORM:CLASS:SEVERITY[:SEED]'] [--allow-shutdown] \
          [-q] [-v[v]] [--trace-out PATH]"
@@ -96,14 +94,6 @@ fn main() {
             "--max-batch" => config.max_batch = next_usize(&mut it, "--max-batch"),
             "--deadline-ms" => {
                 config.deadline = Duration::from_millis(next_usize(&mut it, "--deadline-ms") as u64)
-            }
-            "--batch-window-us" => {
-                // Unlike the counted knobs, 0 is meaningful here (= off),
-                // and the named policies parse too.
-                match it.next().map(|v| BatchWindow::parse(v)) {
-                    Some(Some(w)) => config.batch_window = w,
-                    _ => usage("--batch-window-us needs `adaptive`, `off`, or microseconds"),
-                }
             }
             "--plan-cache" => config.plan_cache_cap = next_usize(&mut it, "--plan-cache"),
             "--metrics" => match it.next().map(|v| ServeConfig::parse_toggle(v)) {

@@ -7,7 +7,7 @@
 //! Each tick opens a connection, sends `{"op":"stats"}` and
 //! `{"op":"metrics"}`, and renders: uptime, qps (completed delta over the
 //! tick), shed rate, occupancy, plan-cache hit rate, per-shard breaker
-//! state + live queue depth + window width, and per-phase p50/p99 from
+//! state + live queue depth, and per-phase p50/p99 from
 //! the `serve.phase.*` histograms (reconstructed from the metrics op's
 //! JSON buckets through the obs quantile estimator).
 //!
@@ -154,18 +154,16 @@ fn render(addr: &str, s: &Scrape, qps: f64, shed_rate: f64, clear: bool) {
         get_u64(&s.stats, "panics_caught"),
     );
     println!();
-    println!("{:<10} {:<10} {:>6} {:>10}", "shard", "breaker", "depth", "window");
+    println!("{:<10} {:<10} {:>6}", "shard", "breaker", "depth");
     let breakers = get_array(&s.stats, "breakers");
     let depths = get_array(&s.stats, "queue_depths");
-    let windows = get_array(&s.stats, "window_us");
     for (i, b) in breakers.iter().enumerate() {
         let state = match b {
             Value::String(s) => s.as_str(),
             _ => "?",
         };
         let depth = depths.get(i).and_then(val_u64).unwrap_or(0);
-        let win = windows.get(i).and_then(val_u64).unwrap_or(0);
-        println!("{i:<10} {state:<10} {depth:>6} {:>10}", fmt_us(win));
+        println!("{i:<10} {state:<10} {depth:>6}");
     }
     println!();
     println!("{:<12} {:>17} {:>17} {:>17}", "phase p50/p99", "eval", "sweep", "crossover");

@@ -7,15 +7,15 @@
 //! batching concurrent queries into the SoA batch kernels so many queries
 //! share one kernel pass.
 //!
-//! Batching is *adaptive*: when recent occupancy is low and the nearest
-//! queued deadline has slack, a shard worker holds a partial batch open
-//! for a bounded micro-window ([`BatchWindow`], `--batch-window-us`,
-//! `ARCHLINE_SERVE_WINDOW`) so concurrent load coalesces into wide fused
-//! passes, while serial traffic decays the window to zero and pays
-//! nothing. Plans persist across batches in a per-worker LRU intern
-//! table (`ARCHLINE_SERVE_PLAN_CACHE`), and point evals *and* small
-//! sweeps that share a plan are packed into shared SoA columns — one
-//! kernel pass each — with answers split back per request bit-identically.
+//! A batch is whatever the shard queue holds: a worker blocks for one
+//! request, drains the rest of its queue (up to
+//! [`ServeConfig::max_batch`]), and evaluates at once. It never holds a
+//! batch open waiting for more, so pipelined load coalesces from queue
+//! depth while a lone request pays no wait. Plans persist across batches
+//! in a per-worker LRU intern table (`ARCHLINE_SERVE_PLAN_CACHE`), and
+//! point evals *and* small sweeps that share a plan are packed into
+//! shared SoA columns — one kernel pass each — with answers split back
+//! per request bit-identically.
 //!
 //! Two front doors share one engine:
 //!
@@ -54,16 +54,17 @@
 //! With telemetry on (the default; `--metrics off` /
 //! `ARCHLINE_SERVE_METRICS=off` disables), every admitted request runs
 //! under a [`TraceId`] — client-supplied via the request's `trace` field
-//! or minted at admission — echoed on the response next to a
-//! [`Phases`] breakdown (`phases_us`: queue-wait, window-hold, kernel,
-//! serialize, total), and the same breakdown feeds per-query-kind
-//! histograms the `{"op":"metrics"}` wire op exposes as JSON *and*
-//! Prometheus text exposition. Every serve instrument belongs to one
-//! server, so two servers in one process never count into each other. A [`FlightConfig`]-configured flight
-//! recorder (`--flight-recorder PATH[:CAP]`) keeps a ring of recent obs
-//! events and dumps it as JSONL on incident: a breaker trip, a caught
-//! worker panic, or a shed-rate spike. The answer payloads themselves are
-//! bit-identical with telemetry on or off — the envelope grows, the
+//! or minted at admission — echoed on the response next to a [`Phases`]
+//! breakdown (`phases_us`: queue-wait; window, the batch assembly from
+//! pickup to dispatch; kernel; serialize; total), and the same breakdown
+//! feeds per-query-kind histograms the `{"op":"metrics"}` wire op exposes
+//! as JSON *and* Prometheus text exposition. Every serve instrument
+//! belongs to one server, so two servers in one process never count into
+//! each other. A [`FlightConfig`]-configured flight recorder
+//! (`--flight-recorder PATH[:CAP]`) keeps a ring of recent obs events and
+//! dumps it as JSONL on incident: a breaker trip, a caught worker panic,
+//! or a shed-rate spike. The answer payloads themselves are bit-identical
+//! with telemetry on or off — the envelope grows, the
 //! results do not (pinned by `tests/serve_batching.rs`).
 //!
 //! Healthy shards answer **bit-identically** under load, batching, and
@@ -86,6 +87,4 @@ pub use breaker::{Breaker, BreakerState};
 pub use protocol::{
     CapOverride, Phases, Query, QueryResult, Reject, Request, Response, SweepMetric, TraceId,
 };
-pub use server::{
-    BatchWindow, FlightConfig, ServeConfig, ServeHandle, ServeStats, Server, Ticket,
-};
+pub use server::{FlightConfig, ServeConfig, ServeHandle, ServeStats, Server, Ticket};

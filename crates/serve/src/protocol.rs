@@ -41,15 +41,18 @@ impl std::fmt::Display for TraceId {
 }
 
 /// Where a response's latency went, in microseconds per phase. `total` is
-/// the admission→answer wall time and equals `queue + window + kernel` up
-/// to clock-read slop; result serialization happens after the answer is
+/// the admission→answer wall time, defined as exactly `queue + window +
+/// kernel` (each part floors its own microseconds); result serialization
+/// happens after the answer is
 /// handed to the wire and is measured separately (the fifth `serialize`
 /// entry of the wire's `phases_us` object).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Phases {
     /// Admission to batch pickup: time spent waiting in the shard queue.
     pub queue_us: u64,
-    /// Batch pickup to batch dispatch: the admission-window hold.
+    /// Batch pickup to batch dispatch: batch assembly (draining the rest
+    /// of the queued batch, then the deadline partition). The worker never
+    /// waits for more work here.
     pub window_us: u64,
     /// Batch dispatch to answer: plan lookup plus kernel evaluation
     /// (including sibling plan-groups in the batch).

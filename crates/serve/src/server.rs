@@ -14,9 +14,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{
-    sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError,
-};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{mpsc, Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -33,45 +31,6 @@ use crate::protocol::{
     CapOverride, Phases, Query, QueryResult, Reject, Request, Response, SweepMetric, TraceId,
 };
 use crate::telemetry;
-
-/// How long a shard worker may hold a partial batch open waiting for more
-/// requests to coalesce into one kernel pass.
-///
-/// Whatever the policy, a hold is always budgeted against the nearest
-/// queued deadline: the worker never waits past half the remaining slack
-/// of the most urgent request it is holding, so windows can delay an
-/// answer but never expire one that had room to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchWindow {
-    /// Never hold: drain whatever is queued and evaluate immediately
-    /// (the pre-adaptive behavior).
-    Off,
-    /// Occupancy-driven (the default): hold only while recent batch
-    /// occupancy is below target, with the width adapted from what each
-    /// hold actually buys — widening while holds coalesce requests,
-    /// decaying to zero (plus a periodic probe) when traffic is serial.
-    Adaptive,
-    /// Fixed ceiling in microseconds; `FixedUs(0)` behaves like `Off`.
-    FixedUs(u64),
-}
-
-impl BatchWindow {
-    /// Parses the `ARCHLINE_SERVE_WINDOW` / `--batch-window-us` forms:
-    /// `"adaptive"`, `"off"`, or a microsecond count (`0` = off).
-    pub fn parse(s: &str) -> Option<BatchWindow> {
-        match s.trim() {
-            "adaptive" => Some(BatchWindow::Adaptive),
-            "off" => Some(BatchWindow::Off),
-            n => n.parse::<u64>().ok().map(|us| {
-                if us == 0 {
-                    BatchWindow::Off
-                } else {
-                    BatchWindow::FixedUs(us)
-                }
-            }),
-        }
-    }
-}
 
 /// Flight-recorder wiring: a ring of recent obs events that
 /// [`Server::start`] installs as a sink and the engine dumps to `path`
@@ -124,9 +83,9 @@ impl std::fmt::Debug for FlightConfig {
     }
 }
 
-/// Engine configuration. `Default` is tuned for tests (small queues,
-/// short deadlines are *not* the default — defaults are production-ish);
-/// [`ServeConfig::from_env`] layers `ARCHLINE_SERVE_*` overrides on top.
+/// Engine configuration. `Default` is the production setting the
+/// `archline-serve` binary starts from; [`ServeConfig::from_env`] layers
+/// `ARCHLINE_SERVE_*` overrides on top.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker shards (platforms hash onto these). Minimum 1.
@@ -143,9 +102,6 @@ pub struct ServeConfig {
     pub breaker_trip: u32,
     /// Time a tripped breaker stays open before a half-open probe.
     pub breaker_cooldown: Duration,
-    /// Admission-window policy: how long a worker may hold a partial
-    /// batch open to coalesce concurrent requests into one kernel pass.
-    pub batch_window: BatchWindow,
     /// Per-worker plan intern table capacity (LRU past it). Minimum 1.
     pub plan_cache_cap: usize,
     /// Chaos mode: corrupt these platforms' evaluation results with the
@@ -173,7 +129,6 @@ impl Default for ServeConfig {
             max_points: crate::protocol::MAX_WIRE_POINTS,
             breaker_trip: 5,
             breaker_cooldown: Duration::from_millis(100),
-            batch_window: BatchWindow::Adaptive,
             plan_cache_cap: 32,
             inject: Vec::new(),
             seed: 0,
@@ -186,7 +141,6 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Defaults with `ARCHLINE_SERVE_SHARDS`, `ARCHLINE_SERVE_QUEUE`,
     /// `ARCHLINE_SERVE_DEADLINE_MS`, `ARCHLINE_SERVE_MAX_BATCH`,
-    /// `ARCHLINE_SERVE_WINDOW` (`adaptive` | `off` | microseconds),
     /// `ARCHLINE_SERVE_PLAN_CACHE`, `ARCHLINE_SERVE_BREAKER_TRIP`, and
     /// `ARCHLINE_SERVE_BREAKER_COOLDOWN_MS` applied where set and
     /// parseable (unparseable values are ignored, not fatal — a service
@@ -207,10 +161,6 @@ impl ServeConfig {
         }
         if let Some(v) = env_u64("ARCHLINE_SERVE_MAX_BATCH") {
             cfg.max_batch = (v as usize).max(1);
-        }
-        if let Some(w) = std::env::var("ARCHLINE_SERVE_WINDOW").ok().and_then(|s| BatchWindow::parse(&s))
-        {
-            cfg.batch_window = w;
         }
         if let Some(v) = env_u64("ARCHLINE_SERVE_PLAN_CACHE") {
             cfg.plan_cache_cap = (v as usize).max(1);
@@ -277,8 +227,6 @@ pub struct ServeStats {
     pub batches: AtomicU64,
     /// Requests across all executed batches (occupancy numerator).
     pub batched_requests: AtomicU64,
-    /// Batches that held an admission window open waiting for more work.
-    pub window_holds: AtomicU64,
     /// Plan lookups answered from a per-worker intern table.
     pub plan_cache_hits: AtomicU64,
     /// Plan lookups that had to compile a fresh plan.
@@ -297,8 +245,8 @@ impl ServeStats {
     /// Every exposed counter as `(exposition name, value)`. The `metrics`
     /// op publishes these names as-is (`serve.accepted` scrapes as
     /// `serve_accepted`); the `stats` op keys them without the `serve.`
-    /// prefix, dots turned to underscores (`accepted`, `window_holds`).
-    pub fn table(&self) -> [(&'static str, u64); 12] {
+    /// prefix, dots turned to underscores (`accepted`, `plan_cache_hit`).
+    pub fn table(&self) -> [(&'static str, u64); 11] {
         // ordering: Relaxed — observational snapshot of statistics.
         let v = |c: &AtomicU64| c.load(Ordering::Relaxed);
         [
@@ -310,7 +258,6 @@ impl ServeStats {
             ("serve.completed", v(&self.completed)),
             ("serve.failed", v(&self.failed)),
             ("serve.panics_caught", v(&self.panics_caught)),
-            ("serve.window.holds", v(&self.window_holds)),
             ("serve.plan_cache.hit", v(&self.plan_cache_hits)),
             ("serve.plan_cache.miss", v(&self.plan_cache_misses)),
             ("serve.plan_cache.evict", v(&self.plan_cache_evictions)),
@@ -361,8 +308,8 @@ struct Pending {
     /// When a worker moved it from the shard queue into a batch (end of
     /// the queue-wait phase).
     picked: Option<Instant>,
-    /// When its batch dispatched to evaluation (end of the window-hold
-    /// phase).
+    /// When its batch dispatched to evaluation (end of the window phase:
+    /// batch assembly, i.e. the drain and the deadline partition).
     dispatched: Option<Instant>,
     reply: mpsc::Sender<Response>,
 }
@@ -370,9 +317,6 @@ struct Pending {
 struct Shard {
     sender: RwLock<Option<SyncSender<Pending>>>,
     breaker: Breaker,
-    /// Admission-window width this shard's worker most recently chose,
-    /// microseconds (0 = drain-only). Purely observational.
-    window_us: AtomicU64,
     /// Live queue depth (`serve.shard<i>.queue_depth`); moves only by
     /// `adjust_owned`, so racing admissions and drains never lose updates.
     depth: Gauge,
@@ -441,8 +385,6 @@ struct Inner {
     batch_occupancy: Histogram,
     /// Admission-to-response latency, microseconds.
     latency_us: Histogram,
-    /// Effective admission-window width per held batch, microseconds.
-    batch_window_us: Histogram,
     /// Injection applications so far (rotates injected seeds so each
     /// application corrupts afresh while staying deterministic).
     injections_applied: AtomicU64,
@@ -582,7 +524,6 @@ impl Server {
             shards.push(Shard {
                 sender: RwLock::new(Some(tx)),
                 breaker: Breaker::new(config.breaker_trip, config.breaker_cooldown),
-                window_us: AtomicU64::new(0),
                 depth: Gauge::new("serve.shard.queue_depth"),
             });
             receivers.push(rx);
@@ -601,7 +542,6 @@ impl Server {
             phases: telemetry::phase_histograms(),
             batch_occupancy: Histogram::new("serve.batch_occupancy"),
             latency_us: Histogram::new("serve.latency_us"),
-            batch_window_us: Histogram::new("serve.batch_window_us"),
             injections_applied: AtomicU64::new(0),
             started: Instant::now(),
             flight,
@@ -681,13 +621,6 @@ impl ServeHandle {
         self.inner.shards[shard].breaker.state()
     }
 
-    /// The admission-window width shard `shard`'s worker most recently
-    /// chose, in microseconds (0 = drain-only).
-    pub fn shard_window_us(&self, shard: usize) -> u64 {
-        // ordering: Relaxed — observational gauge read; no data rides on it.
-        self.inner.shards[shard].window_us.load(Ordering::Relaxed)
-    }
-
     /// Time since this engine started.
     pub fn uptime(&self) -> Duration {
         self.inner.started.elapsed()
@@ -702,7 +635,7 @@ impl ServeHandle {
     /// This engine's instruments merged into the process-wide obs
     /// snapshot (par/fit/faults): the [`ServeStats::table`] counters,
     /// summed breaker transitions, per-shard depth gauges, and the
-    /// latency, occupancy, window and phase histograms.
+    /// latency, occupancy and phase histograms.
     pub(crate) fn metrics(&self) -> MetricsSnapshot {
         let inner = &self.inner;
         let mut snap = obs::metrics::snapshot();
@@ -719,7 +652,7 @@ impl ServeHandle {
         snap.gauges.extend(inner.shards.iter().enumerate().map(|(i, s)| {
             (format!("serve.shard{i}.queue_depth"), s.depth.get(), s.depth.max())
         }));
-        let own = [&inner.batch_occupancy, &inner.latency_us, &inner.batch_window_us];
+        let own = [&inner.batch_occupancy, &inner.latency_us];
         snap.histograms.extend(
             own.into_iter().chain(inner.phases.iter().flatten()).map(Histogram::snapshot),
         );
@@ -987,8 +920,8 @@ fn respond(inner: &Inner, p: &Pending, result: Result<QueryResult, Reject>) {
     // flooring its own microsecond conversion (the raw enqueued→now
     // measurement, off by at most 2us, still feeds `latency_us` above); the
     // serialize phase is measured later, at the wire layer. Answers that
-    // skipped a stage (deadline expiry before pick, drain-only batches)
-    // collapse the missing phases to zero rather than invent timestamps.
+    // skipped a stage (deadline expiry at the batch boundary) collapse the
+    // missing phases to zero rather than invent timestamps.
     let phases = if inner.config.telemetry {
         let picked = p.picked.unwrap_or(now);
         let dispatched = p.dispatched.unwrap_or(picked).max(picked);
@@ -1055,112 +988,6 @@ impl PlanCache {
     }
 }
 
-/// Occupancy-driven admission-window controller for one worker.
-///
-/// The policy question is "is a micro-wait before dispatch worth it?".
-/// Under concurrent load the answer is yes: a held batch coalesces many
-/// requests into one fused kernel pass. Under serial (depth-1) load every
-/// hold is pure added latency, so the controller pays attention to what
-/// each hold actually buys: widths widen while held batches come back
-/// with company, halve when they come back solo, and decay to zero —
-/// with a periodic minimum-width probe so renewed concurrency is
-/// re-detected without a standing tax on serial traffic.
-struct WindowCtl {
-    policy: BatchWindow,
-    /// EWMA of recent batch occupancy.
-    occ: f64,
-    /// Occupancy at which holds stop being worth trying.
-    target: f64,
-    /// Current adaptive width, microseconds (0 = don't hold).
-    width_us: u64,
-    /// Zero-width batches since the last probe.
-    since_probe: u32,
-}
-
-impl WindowCtl {
-    const MIN_US: u64 = 16;
-    const MAX_US: u64 = 1024;
-    const START_US: u64 = 64;
-    const PROBE_EVERY: u32 = 64;
-
-    fn new(policy: BatchWindow, max_batch: usize) -> Self {
-        Self {
-            policy,
-            occ: 0.0,
-            target: (max_batch / 4).clamp(2, 16) as f64,
-            width_us: Self::START_US,
-            since_probe: 0,
-        }
-    }
-
-    /// Width to hold the next partial batch open for (0 = dispatch now).
-    fn window_us(&mut self) -> u64 {
-        match self.policy {
-            BatchWindow::Off => 0,
-            BatchWindow::FixedUs(us) => us,
-            BatchWindow::Adaptive => {
-                if self.occ >= self.target {
-                    // Batches already run wide; the queue alone coalesces.
-                    0
-                } else if self.width_us == 0 {
-                    // Serial traffic: stop paying for holds, but probe
-                    // occasionally so renewed concurrency is noticed.
-                    self.since_probe += 1;
-                    if self.since_probe >= Self::PROBE_EVERY {
-                        self.since_probe = 0;
-                        Self::MIN_US
-                    } else {
-                        0
-                    }
-                } else {
-                    self.width_us
-                }
-            }
-        }
-    }
-
-    /// How full a batch must be before holding stops paying. Holds quit
-    /// as soon as the batch reaches this, so a window never stalls a
-    /// worker that already has a healthy batch in hand (the queue drain
-    /// keeps widening batches past it for free). Fixed windows are an
-    /// explicit operator choice and run to `max_batch`.
-    fn hold_target(&self, max_batch: usize) -> usize {
-        match self.policy {
-            BatchWindow::Adaptive => (self.target as usize).max(2).min(max_batch),
-            BatchWindow::Off | BatchWindow::FixedUs(_) => max_batch,
-        }
-    }
-
-    /// Learns from a finished batch. The width is judged by what the hold
-    /// *bought* (`gained` = requests that arrived during the hold), not by
-    /// final batch size — a batch widened by the queue drain alone says
-    /// nothing about whether waiting longer would help, and crediting it
-    /// would widen the window against blocked closed-loop clients until
-    /// every batch stalled for the full width.
-    fn observe(&mut self, occupancy: usize, held: bool, gained: usize) {
-        self.occ = 0.75 * self.occ + 0.25 * occupancy as f64;
-        if !matches!(self.policy, BatchWindow::Adaptive) || !held {
-            return;
-        }
-        if gained > 0 {
-            self.width_us = (self.width_us.max(Self::MIN_US) * 2).min(Self::MAX_US);
-        } else if self.width_us <= Self::MIN_US {
-            self.width_us = 0;
-        } else {
-            self.width_us /= 2;
-        }
-    }
-
-    /// The width the controller would currently use (per-shard gauge).
-    fn width(&self) -> u64 {
-        match self.policy {
-            BatchWindow::Off => 0,
-            BatchWindow::FixedUs(us) => us,
-            BatchWindow::Adaptive => self.width_us,
-        }
-    }
-}
-
 /// Drains whatever is already queued, up to `max_batch`. Returns `false`
 /// when the channel disconnected (all senders dropped: shutdown) — the
 /// caller finishes the batch in hand, then exits.
@@ -1179,51 +1006,8 @@ fn drain_queued(rx: &Receiver<Pending>, batch: &mut Vec<Pending>, max_batch: usi
     true
 }
 
-/// Holds a partial batch open for up to `width_us`, re-draining after
-/// each arrival, until the batch reaches `stop_at`. The hold is budgeted
-/// against the most urgent held deadline — never past half its remaining
-/// slack, re-capped as more urgent requests arrive — so a window can
-/// delay an answer but never expire one that had room to run. Returns
-/// `false` on disconnect.
-fn hold_window(
-    rx: &Receiver<Pending>,
-    batch: &mut Vec<Pending>,
-    stop_at: usize,
-    width_us: u64,
-) -> bool {
-    fn slack_cap(deadline: Instant, now: Instant) -> Duration {
-        deadline.saturating_duration_since(now) / 2
-    }
-    let start = Instant::now();
-    let Some(nearest) = batch.iter().map(|p| p.deadline).min() else {
-        return true;
-    };
-    let mut hold_until = start + Duration::from_micros(width_us).min(slack_cap(nearest, start));
-    while batch.len() < stop_at {
-        let now = Instant::now();
-        let Some(left) = hold_until.checked_duration_since(now) else {
-            return true;
-        };
-        match rx.recv_timeout(left) {
-            Ok(mut p) => {
-                let now = Instant::now();
-                p.picked = Some(now);
-                hold_until = hold_until.min(now + slack_cap(p.deadline, now));
-                batch.push(p);
-                if !drain_queued(rx, batch, stop_at) {
-                    return false;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => return true,
-            Err(RecvTimeoutError::Disconnected) => return false,
-        }
-    }
-    true
-}
-
 fn worker_loop(inner: Arc<Inner>, shard_idx: usize, rx: Receiver<Pending>) {
     let mut plans = PlanCache::new(inner.config.plan_cache_cap);
-    let mut ctl = WindowCtl::new(inner.config.batch_window, inner.config.max_batch);
     let mut connected = true;
     while connected {
         // Block for work; a disconnect means every sender is gone
@@ -1233,23 +1017,10 @@ fn worker_loop(inner: Arc<Inner>, shard_idx: usize, rx: Receiver<Pending>) {
             Err(_) => break,
         };
         first.picked = Some(Instant::now());
+        // Dispatch what the queue holds: under pipelined load the backlog
+        // is the batch, and a lone request runs at once.
         let mut batch = vec![first];
         connected = drain_queued(&rx, &mut batch, inner.config.max_batch);
-        let drained = batch.len();
-        let stop_at = ctl.hold_target(inner.config.max_batch);
-        let mut held = false;
-        if connected && drained < stop_at {
-            let width_us = ctl.window_us();
-            if width_us > 0 {
-                held = true;
-                ServeStats::bump(&inner.stats.window_holds);
-                inner.batch_window_us.record_owned(width_us);
-                connected = hold_window(&rx, &mut batch, stop_at, width_us);
-            }
-        }
-        ctl.observe(batch.len(), held, batch.len() - drained);
-        // ordering: Relaxed — per-shard window gauge; observational only.
-        inner.shards[shard_idx].window_us.store(ctl.width(), Ordering::Relaxed);
         inner.shards[shard_idx].depth.adjust_owned(-(batch.len() as i64));
         process_batch(&inner, shard_idx, batch, &mut plans);
     }
@@ -1281,8 +1052,8 @@ fn process_batch(inner: &Inner, shard_idx: usize, batch: Vec<Pending>, plans: &m
     if live.is_empty() {
         return;
     }
-    // End of the window-hold phase: the batch dispatches to evaluation.
-    // One stamp for the whole batch — the partition instant above.
+    // End of the window phase (batch assembly): the batch dispatches to
+    // evaluation. One stamp for the whole batch — the partition instant.
     for p in &mut live {
         p.dispatched = Some(now);
     }
@@ -1753,15 +1524,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_window_parses_every_knob_form() {
-        assert_eq!(BatchWindow::parse("adaptive"), Some(BatchWindow::Adaptive));
-        assert_eq!(BatchWindow::parse("off"), Some(BatchWindow::Off));
-        assert_eq!(BatchWindow::parse("0"), Some(BatchWindow::Off));
-        assert_eq!(BatchWindow::parse(" 250 "), Some(BatchWindow::FixedUs(250)));
-        assert_eq!(BatchWindow::parse("sometimes"), None);
-    }
-
-    #[test]
     fn plan_cache_interns_promotes_and_evicts_lru() {
         let stats = ServeStats::default();
         let mut cache = PlanCache::new(2);
@@ -1788,48 +1550,5 @@ mod tests {
         assert_eq!(t0.to_bits(), t1.to_bits());
         assert_eq!(e0.to_bits(), e1.to_bits());
         assert_eq!(p0.to_bits(), p1.to_bits());
-    }
-
-    #[test]
-    fn adaptive_window_widens_under_coalescing_and_decays_for_serial_load() {
-        let mut ctl = WindowCtl::new(BatchWindow::Adaptive, 64);
-        let w0 = ctl.window_us();
-        assert!(w0 > 0, "adaptive starts willing to hold");
-        ctl.observe(8, true, 7);
-        assert!(ctl.window_us() > w0, "a hold that coalesced work widens the window");
-        // Serial traffic: every held batch comes back solo, so the width
-        // must decay to zero — depth-1 load stops paying for holds.
-        for _ in 0..32 {
-            let w = ctl.window_us();
-            ctl.observe(1, w > 0, 0);
-        }
-        assert_eq!(ctl.width(), 0, "serial load decays the window away");
-        // ...but a periodic probe re-opens it so renewed concurrency is
-        // re-detected rather than locked out forever.
-        let mut probed = false;
-        for _ in 0..(2 * WindowCtl::PROBE_EVERY) {
-            if ctl.window_us() > 0 {
-                probed = true;
-                break;
-            }
-            ctl.observe(1, false, 0);
-        }
-        assert!(probed, "zero width must still probe for renewed concurrency");
-    }
-
-    #[test]
-    fn saturated_occupancy_disables_the_window() {
-        let mut ctl = WindowCtl::new(BatchWindow::Adaptive, 64);
-        for _ in 0..16 {
-            ctl.observe(64, false, 0);
-        }
-        assert_eq!(ctl.window_us(), 0, "above-target occupancy needs no hold");
-        // Fixed windows ignore occupancy entirely.
-        let mut fixed = WindowCtl::new(BatchWindow::FixedUs(200), 64);
-        for _ in 0..16 {
-            fixed.observe(64, false, 0);
-        }
-        assert_eq!(fixed.window_us(), 200);
-        assert_eq!(WindowCtl::new(BatchWindow::Off, 64).window_us(), 0);
     }
 }

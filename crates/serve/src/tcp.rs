@@ -179,7 +179,6 @@ fn stats_line(handle: &ServeHandle) -> String {
         ("uptime_s", Value::from(handle.uptime().as_secs_f64())),
         ("mean_batch_occupancy", Value::from(s.mean_batch_occupancy())),
         ("plan_cache_hit_rate", Value::from(s.plan_cache_hit_rate())),
-        ("window_us", per_shard(&|i| Value::from(handle.shard_window_us(i)))),
         ("queue_depths", per_shard(&|i| Value::from(handle.shard_depth(i)))),
         ("breakers", per_shard(&|i| Value::from(handle.breaker_state(i).name()))),
     ];

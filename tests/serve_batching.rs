@@ -1,20 +1,23 @@
-//! Batching-invariance property suite: adaptive admission windows,
-//! per-worker plan caching, and cross-request SoA packing must be
-//! *invisible* in the answers.
+//! Batching-invariance property suite: queue-depth batching, per-worker
+//! plan caching, and cross-request SoA packing must be *invisible* in the
+//! answers.
 //!
-//! The contract under test, per ISSUE 9:
+//! A worker never holds a batch open; it dispatches whatever its queue
+//! holds. So every multi-request case first submits a busy head request
+//! (a `MAX_WIRE_POINTS` sweep) to the single shard and then submits the
+//! rest while the worker is busy with it: they wait in the queue and
+//! drain as one batch. Each such case asserts a mean batch occupancy above
+//! 1.5, so none can silently decay to one request per batch.
 //!
 //! * **Bit-identity vs `max_batch = 1`** — the same workload served by a
-//!   strict one-request-per-batch engine (windows off) and by a wide
-//!   windowed engine (batches coalesced across requests and packed into
-//!   shared SoA columns) produces byte-for-byte identical answers, for
-//!   every query kind: point evals, all three sweep metrics (both packed
-//!   small grids and oversized inline grids), crossovers, and what-if cap
-//!   overrides that multiply the distinct-plan count.
-//! * **Deadlines survive window boundaries** — a hold is budgeted
-//!   against the nearest queued deadline (never past half its remaining
-//!   slack), so a window wider than a request's deadline delays the
-//!   answer but does not expire it.
+//!   strict one-request-per-batch engine and by a wide engine (batches
+//!   coalesced across requests and packed into shared SoA columns)
+//!   produces byte-for-byte identical answers, for every query kind:
+//!   point evals, all three sweep metrics (both packed small grids and
+//!   oversized inline grids), crossovers, and what-if cap overrides that
+//!   multiply the distinct-plan count.
+//! * **Deadlines** — an already-expired request is answered with a typed
+//!   `DeadlineExceeded` at the batch boundary.
 //! * **Many-plans group-by** — a batch where every request carries a
 //!   distinct plan key (the O(n²) group-by regression shape) still
 //!   answers every request correctly and bit-identically to direct plan
@@ -22,15 +25,16 @@
 //! * **Plan-cache persistence** — plans survive across batches (hits
 //!   accumulate), and a deliberately tiny cache evicts without ever
 //!   changing an answer.
-//! * **Telemetry invariance** (ISSUE 10) — serving with the telemetry
-//!   plane on vs off changes only the response envelope (trace ids,
-//!   `phases_us`), never a result bit.
+//! * **Telemetry invariance** — serving with the telemetry plane on vs
+//!   off changes only the response envelope (trace ids, `phases_us`),
+//!   never a result bit.
 
 use archline_core::power::sample_intensities;
 use archline_core::RooflinePlan;
 use archline_platforms::{all_platforms, Precision};
+use archline_serve::protocol::MAX_WIRE_POINTS;
 use archline_serve::{
-    BatchWindow, CapOverride, Query, QueryResult, Reject, Request, ServeConfig, Server,
+    CapOverride, Query, QueryResult, Reject, Request, ServeConfig, ServeHandle, Server,
     SweepMetric,
 };
 
@@ -102,16 +106,45 @@ fn workload() -> Vec<Request> {
     reqs
 }
 
-/// Serves the whole workload concurrently (submit everything, then wait)
-/// so wide engines actually coalesce, and returns answers sorted by id.
-fn serve_all(config: ServeConfig, reqs: &[Request]) -> Vec<(u64, Result<QueryResult, Reject>)> {
+/// Answers sorted by request id.
+type Answers = Vec<(u64, Result<QueryResult, Reject>)>;
+
+/// A request that keeps a worker busy while a case's real requests queue
+/// up behind it: an inline (unpacked) sweep of the most points a request
+/// may carry. Its id, 0, is one no workload uses.
+fn busy_head() -> Request {
+    req(0, "GTX Titan", Query::Sweep {
+        metric: SweepMetric::Perf,
+        lo: 0.1,
+        hi: 100.0,
+        points: MAX_WIRE_POINTS,
+    })
+}
+
+/// Serves the whole workload behind a [`busy_head`] (submit the head,
+/// then everything else, then wait), so a single-shard engine finds the
+/// workload queued and drains it in wide batches. Returns the workload's
+/// answers sorted by id and the drained engine, for its stats.
+fn serve_all(config: ServeConfig, reqs: &[Request]) -> (Answers, ServeHandle) {
     let server = Server::start(config).expect("server");
     let handle = server.handle();
+    let head = handle.submit(busy_head());
     let tickets: Vec<_> = reqs.iter().map(|r| (r.id, handle.submit(r.clone()))).collect();
     let mut out: Vec<_> = tickets.into_iter().map(|(id, t)| (id, t.wait().result)).collect();
-    server.shutdown();
+    assert!(head.wait().result.is_ok(), "the busy head request must answer");
     out.sort_by_key(|(id, _)| *id);
-    out
+    (out, server.shutdown())
+}
+
+/// Fails unless batches coalesced: a mean above 1.5 requests per batch,
+/// the head's batch included.
+fn assert_coalesced(after: &ServeHandle) {
+    let occupancy = after.stats().mean_batch_occupancy();
+    assert!(
+        occupancy > 1.5,
+        "requests queued behind a busy head must drain as shared batches \
+         (mean occupancy {occupancy:.2})"
+    );
 }
 
 /// Bit-level equality: f64s compare by `to_bits`, so `-0.0` vs `0.0` or
@@ -151,42 +184,32 @@ fn assert_bits_equal(id: u64, a: &Result<QueryResult, Reject>, b: &Result<QueryR
     }
 }
 
-/// One shard + `max_batch = 1` + windows off: the strictest possible
-/// serving mode — every request is its own kernel pass.
+/// One shard + `max_batch = 1`: the strictest possible serving mode —
+/// every request is its own kernel pass.
 fn unbatched_config() -> ServeConfig {
-    ServeConfig {
-        shards: 1,
-        max_batch: 1,
-        batch_window: BatchWindow::Off,
-        ..ServeConfig::default()
-    }
+    ServeConfig { shards: 1, max_batch: 1, ..ServeConfig::default() }
 }
 
 #[test]
 fn windowed_packed_serving_is_bit_identical_to_unbatched() {
     let reqs = workload();
-    let reference = serve_all(unbatched_config(), &reqs);
+    let (reference, _) = serve_all(unbatched_config(), &reqs);
 
-    // A wide fixed window forces coalescing; one shard forces every plan
-    // group through the same worker and packed columns.
-    let wide = ServeConfig {
-        shards: 1,
-        max_batch: 64,
-        batch_window: BatchWindow::FixedUs(20_000),
-        ..ServeConfig::default()
-    };
-    let batched = serve_all(wide, &reqs);
+    // One shard forces every plan group through the same worker and
+    // packed columns; the queued workload fills wide batches.
+    let wide = ServeConfig { shards: 1, max_batch: 64, ..ServeConfig::default() };
+    let (batched, after) = serve_all(wide, &reqs);
+    assert_coalesced(&after);
     assert_eq!(reference.len(), batched.len());
     for ((id_a, a), (id_b, b)) in reference.iter().zip(&batched) {
         assert_eq!(id_a, id_b);
         assert_bits_equal(*id_a, a, b);
     }
 
-    // The adaptive default must be just as invisible.
-    let adaptive = ServeConfig { shards: 1, ..ServeConfig::default() };
-    assert!(matches!(adaptive.batch_window, BatchWindow::Adaptive));
-    let adaptive_answers = serve_all(adaptive, &reqs);
-    for ((id_a, a), (id_b, b)) in reference.iter().zip(&adaptive_answers) {
+    // The default engine, its plans spread over four shards, must be just
+    // as invisible.
+    let (default_answers, _) = serve_all(ServeConfig::default(), &reqs);
+    for ((id_a, a), (id_b, b)) in reference.iter().zip(&default_answers) {
         assert_eq!(id_a, id_b);
         assert_bits_equal(*id_a, a, b);
     }
@@ -199,14 +222,10 @@ fn telemetry_on_and_off_answer_bit_identically() {
     // with it on (the default) and off — observation must not perturb
     // the observable.
     let reqs = workload();
-    let on = serve_all(
-        ServeConfig { shards: 1, telemetry: true, ..ServeConfig::default() },
-        &reqs,
-    );
-    let off = serve_all(
-        ServeConfig { shards: 1, telemetry: false, ..ServeConfig::default() },
-        &reqs,
-    );
+    let (on, _) =
+        serve_all(ServeConfig { shards: 1, telemetry: true, ..ServeConfig::default() }, &reqs);
+    let (off, _) =
+        serve_all(ServeConfig { shards: 1, telemetry: false, ..ServeConfig::default() }, &reqs);
     assert_eq!(on.len(), off.len());
     for ((id_a, a), (id_b, b)) in on.iter().zip(&off) {
         assert_eq!(id_a, id_b);
@@ -244,56 +263,25 @@ fn telemetry_on_and_off_answer_bit_identically() {
 
 #[test]
 fn windowed_serving_actually_coalesces() {
-    // Not just invisible — the window must buy real occupancy under
-    // concurrent submission, or the tentpole is a no-op.
+    // Not just invisible — queue depth must buy real occupancy: 128
+    // requests queued behind a busy head drain in batches of up to 64.
     let reqs: Vec<Request> =
         (0..128).map(|i| req(i + 1, "GTX Titan", eval_query(16, 1.0))).collect();
-    let server = Server::start(ServeConfig {
-        shards: 1,
-        max_batch: 64,
-        batch_window: BatchWindow::FixedUs(20_000),
-        ..ServeConfig::default()
-    })
-    .expect("server");
-    let handle = server.handle();
-    let tickets: Vec<_> = reqs.iter().map(|r| handle.submit(r.clone())).collect();
-    for t in tickets {
-        assert!(t.wait().result.is_ok());
+    let (answers, after) =
+        serve_all(ServeConfig { shards: 1, max_batch: 64, ..ServeConfig::default() }, &reqs);
+    for (id, result) in &answers {
+        assert!(result.is_ok(), "request {id}: {result:?}");
     }
-    let after = server.shutdown();
-    let stats = after.stats();
-    assert!(
-        stats.mean_batch_occupancy() > 1.5,
-        "a 20ms window over 128 concurrent submissions must coalesce \
-         (got occupancy {:.2} over {} batches)",
-        stats.mean_batch_occupancy(),
-        stats.batches.load(std::sync::atomic::Ordering::Relaxed)
-    );
+    assert_coalesced(&after);
 }
 
 #[test]
 fn deadlines_are_honored_at_window_boundaries() {
-    // A 50ms window against a 40ms deadline: the hold is budgeted to half
-    // the remaining slack, so the answer arrives inside the deadline
-    // instead of expiring behind the window.
-    let server = Server::start(ServeConfig {
-        shards: 1,
-        batch_window: BatchWindow::FixedUs(50_000),
-        ..ServeConfig::default()
-    })
-    .expect("server");
+    // An already-expired deadline rejects typed at the batch boundary.
+    let server =
+        Server::start(ServeConfig { shards: 1, ..ServeConfig::default() }).expect("server");
     let handle = server.handle();
-    let mut tight = req(1, "GTX Titan", eval_query(4, 1.0));
-    tight.deadline_ms = Some(40);
-    let resp = handle.query(tight);
-    assert!(
-        resp.result.is_ok(),
-        "a 50ms window must not expire a 40ms-deadline request: {:?}",
-        resp.result
-    );
-    // An already-expired deadline still rejects typed — the window does
-    // not resurrect it.
-    let mut expired = req(2, "GTX Titan", eval_query(4, 1.0));
+    let mut expired = req(1, "GTX Titan", eval_query(4, 1.0));
     expired.deadline_ms = Some(0);
     assert_eq!(handle.query(expired).result, Err(Reject::DeadlineExceeded));
     server.shutdown();
@@ -318,24 +306,22 @@ fn many_distinct_plans_in_one_batch_answer_correctly() {
             r
         })
         .collect();
-    let server = Server::start(ServeConfig {
-        shards: 1,
-        max_batch: 256,
-        batch_window: BatchWindow::FixedUs(20_000),
-        // Far fewer slots than plans: the intern table must evict its way
-        // through the batch without changing any answer.
-        plan_cache_cap: 8,
-        ..ServeConfig::default()
-    })
-    .expect("server");
-    let handle = server.handle();
-    let tickets: Vec<_> = reqs.iter().map(|r| handle.submit(r.clone())).collect();
-    let answers: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
-    let after = server.shutdown();
-    for (i, resp) in answers.iter().enumerate() {
+    let (answers, after) = serve_all(
+        ServeConfig {
+            shards: 1,
+            max_batch: 256,
+            // Far fewer slots than plans: the intern table must evict its
+            // way through the batch without changing any answer.
+            plan_cache_cap: 8,
+            ..ServeConfig::default()
+        },
+        &reqs,
+    );
+    assert_coalesced(&after);
+    for (i, (_, result)) in answers.iter().enumerate() {
         let plan = RooflinePlan::new(params.throttled(1.0 + i as f64 * 0.25));
-        let Ok(QueryResult::Eval { time, energy, power, .. }) = &resp.result else {
-            panic!("request {i} rejected: {:?}", resp.result);
+        let Ok(QueryResult::Eval { time, energy, power, .. }) = result else {
+            panic!("request {i} rejected: {result:?}");
         };
         let Query::Eval { flops, bytes } = &reqs[i].query else { unreachable!() };
         for (k, (&w, &q)) in flops.iter().zip(bytes).enumerate() {
@@ -370,15 +356,6 @@ fn plan_cache_persists_across_batches() {
     assert_eq!(misses, 1, "one plan, one compile");
     assert_eq!(hits, 9, "every later batch reuses the interned plan");
     assert!(stats.plan_cache_hit_rate() > 0.85);
-    server_window_sanity(&after);
-}
-
-/// Post-run sanity on the observability surface the satellites wire up.
-fn server_window_sanity(after: &archline_serve::ServeHandle) {
-    for shard in 0..after.num_shards() {
-        // The gauge is readable and bounded by the adaptive ceiling.
-        assert!(after.shard_window_us(shard) <= 1024 * 1024);
-    }
 }
 
 #[test]
@@ -408,14 +385,8 @@ fn packed_sweeps_match_direct_kernel_evaluation() {
             })
         })
         .collect();
-    let answers = serve_all(
-        ServeConfig {
-            shards: 1,
-            batch_window: BatchWindow::FixedUs(20_000),
-            ..ServeConfig::default()
-        },
-        &reqs,
-    );
+    let (answers, after) = serve_all(ServeConfig { shards: 1, ..ServeConfig::default() }, &reqs);
+    assert_coalesced(&after);
     for ((_, result), r) in answers.iter().zip(&reqs) {
         let Query::Sweep { metric, lo, hi, points } = &r.query else { unreachable!() };
         let xs = sample_intensities(*lo, *hi, *points);

@@ -28,11 +28,11 @@
 //! regardless of the RNG draw).
 //!
 //! Every server here runs with `ServeConfig::default()` layered under the
-//! chaos knobs — which since ISSUE 9 means *adaptive admission windows
-//! are on*: the whole fault matrix (injection audits, breaker sequences,
-//! bit-identity on healthy shards, drain-on-shutdown) holds with batching
-//! windows enabled. The queries are sequential, so the exact breaker
-//! sequences below are window-independent by construction.
+//! chaos knobs, so workers batch whatever their queues hold: the whole
+//! fault matrix (injection audits, breaker sequences, bit-identity on
+//! healthy shards, drain-on-shutdown) holds with queue-depth batching on.
+//! The queries are sequential, so the exact breaker sequences below do
+//! not depend on how requests share batches.
 
 use archline_core::RooflinePlan;
 use archline_faults::{FaultClass, FaultPlan, FaultSpec};

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use archline_serve::tcp::serve_tcp;
-use archline_serve::{BatchWindow, Query, Request, ServeConfig, Server};
+use archline_serve::{Query, Request, ServeConfig, Server};
 use serde_json::Value;
 
 /// Minimal Prometheus text-exposition parser: `name{labels} value` and
@@ -313,12 +313,8 @@ fn two_concurrent_servers_report_only_their_own_metrics() {
 /// on the ticket so it looks at the counter the instant the answer lands.
 #[test]
 fn stats_count_every_answer_the_client_already_holds() {
-    let server = Server::start(ServeConfig {
-        shards: 1,
-        batch_window: BatchWindow::Off,
-        ..ServeConfig::default()
-    })
-    .expect("server");
+    let server =
+        Server::start(ServeConfig { shards: 1, ..ServeConfig::default() }).expect("server");
     let handle = server.handle();
     for id in 0..20_000u64 {
         let ticket = handle.submit(Request {
