@@ -8,7 +8,9 @@
 //! exposes SoA batch kernels (`time_batch`, `energy_batch`,
 //! `avg_power_batch`, `regime_batch`, the fused [`RooflinePlan::evaluate_batch`], …)
 //! that write into caller-provided output buffers and parallelize over
-//! chunks via `archline-par` above a size threshold.
+//! chunks via `archline-par` above a size threshold, plus
+//! [`RooflinePlan::sweep`], which builds a log-spaced intensity grid and
+//! evaluates one metric over it in the same chunked pass.
 //!
 //! **Kernel shape.** The batch kernels are allocation-free, branchless
 //! lockstep streams of pure multiply/`mul_add`/`max`/compare-select
@@ -43,9 +45,10 @@ use archline_par::{
     parallel_chunks_mut4,
 };
 
+use crate::crossover::Metric;
 use crate::error::ModelError;
 use crate::params::{Balances, MachineParams};
-use crate::power::Regime;
+use crate::power::{log_point, log_range, Regime};
 
 /// Batch sizes at or above this go through `archline-par`; smaller inputs
 /// are evaluated serially (spawn/steal overhead would dominate). The chunk
@@ -679,6 +682,45 @@ impl RooflinePlan {
         assert_batch_lens(intensities.len(), intensities.len(), p_out.len());
         validate_intensities(intensities);
         self.efficiency_slice(intensities, perf_out, eff_out, p_out);
+    }
+
+    /// One metric over a whole log-spaced sweep, grid included: returns the
+    /// `n` intensities of [`crate::power::sample_intensities`]`(lo, hi, n)`
+    /// and the metric at each, bit-identical to that grid followed by the
+    /// metric's `*_batch_serial` kernel. Each chunk computes its own
+    /// intensities (one `exp` per point, the expensive half) and then its
+    /// metric values, so above [`PAR_THRESHOLD`] the grid is split across
+    /// workers along with the kernel.
+    ///
+    /// # Panics
+    /// Panics, before any work is split, if `lo`/`hi` are not positive
+    /// finite with `lo < hi` or `n < 2`. For [`Metric::Performance`] and
+    /// [`Metric::EnergyEfficiency`], panics if a grid point is not strictly
+    /// positive and finite (an `exp` that overflows).
+    pub fn sweep(&self, metric: Metric, lo: f64, hi: f64, n: usize) -> (Vec<f64>, Vec<f64>) {
+        let (llo, lhi) = log_range(lo, hi, n);
+        let chunk = |base: usize, xs: &mut [f64], out: &mut [f64]| {
+            for (k, x) in xs.iter_mut().enumerate() {
+                *x = log_point(llo, lhi, n, base + k);
+            }
+            match metric {
+                Metric::Power => self.avg_power_slice(xs, out),
+                Metric::Performance => {
+                    validate_intensities(xs);
+                    self.perf_slice(xs, out);
+                }
+                Metric::EnergyEfficiency => {
+                    validate_intensities(xs);
+                    self.energy_eff_slice(xs, out);
+                }
+            }
+        };
+        let (mut xs, mut out) = (vec![0.0; n], vec![0.0; n]);
+        match par_grain(n) {
+            Some(g) => parallel_chunks_mut2(&mut xs, &mut out, g, |idx, xc, oc| chunk(idx * g, xc, oc)),
+            None => chunk(0, &mut xs, &mut out),
+        }
+        (xs, out)
     }
 }
 

@@ -72,14 +72,28 @@ pub fn power_curve(model: &EnergyRoofline, lo: f64, hi: f64, n: usize) -> Vec<Po
 }
 
 /// `n` log-spaced intensities spanning `[lo, hi]`, endpoints included.
+///
+/// # Panics
+/// Panics if `lo`/`hi` are not positive finite with `lo < hi`, or `n < 2`.
 pub fn sample_intensities(lo: f64, hi: f64, n: usize) -> Vec<f64> {
+    let (llo, lhi) = log_range(lo, hi, n);
+    (0..n).map(|k| log_point(llo, lhi, n, k)).collect()
+}
+
+/// Checks a log-spaced grid's range and sample count; returns
+/// `(ln lo, ln hi)`.
+pub(crate) fn log_range(lo: f64, hi: f64, n: usize) -> (f64, f64) {
     assert!(lo.is_finite() && hi.is_finite() && lo > 0.0 && lo < hi, "bad intensity range");
     assert!(n >= 2, "need at least two samples");
-    let llo = lo.ln();
-    let lhi = hi.ln();
-    (0..n)
-        .map(|k| (llo + (lhi - llo) * k as f64 / (n - 1) as f64).exp())
-        .collect()
+    (lo.ln(), hi.ln())
+}
+
+/// Point `k` of the `n`-point log-spaced grid from `e^llo` to `e^lhi`. The
+/// one place the grid formula is written, so [`sample_intensities`] and
+/// [`crate::RooflinePlan::sweep`] produce the same bits.
+#[inline(always)]
+pub(crate) fn log_point(llo: f64, lhi: f64, n: usize, k: usize) -> f64 {
+    (llo + (lhi - llo) * k as f64 / (n - 1) as f64).exp()
 }
 
 #[cfg(test)]

@@ -17,7 +17,8 @@
 //! the sweep runs identically everywhere and failures print a plain seed.
 
 use archline_core::plan::PAR_THRESHOLD;
-use archline_core::{EnergyRoofline, MachineParams, PowerCap, Regime, RooflinePlan, Workload};
+use archline_core::power::sample_intensities;
+use archline_core::{EnergyRoofline, MachineParams, Metric, PowerCap, Regime, RooflinePlan, Workload};
 
 /// The documented bound on the reciprocal-hoist + `mul_add` rewrites,
 /// measured against an independent replica of the paper's division-form
@@ -375,5 +376,91 @@ fn parallel_dispatch_bit_identical_to_serial_above_threshold() {
         assert_eq!(bits(&ea), bits(&eb), "evaluate e n={n}");
         assert_eq!(bits(&pa), bits(&pb), "evaluate p n={n}");
         assert_eq!(rg_a, rg_b, "evaluate r n={n}");
+    }
+}
+
+/// `sample_intensities` followed by the metric's serial batch kernel: the
+/// reference [`RooflinePlan::sweep`] must reproduce bit for bit.
+fn grid_then_kernel(plan: &RooflinePlan, metric: Metric, lo: f64, hi: f64, n: usize) -> (Vec<f64>, Vec<f64>) {
+    let xs = sample_intensities(lo, hi, n);
+    let mut out = vec![0.0; n];
+    match metric {
+        Metric::Power => plan.avg_power_batch_serial(&xs, &mut out),
+        Metric::Performance => plan.perf_batch_serial(&xs, &mut out),
+        Metric::EnergyEfficiency => plan.energy_eff_batch_serial(&xs, &mut out),
+    }
+    (xs, out)
+}
+
+const METRICS: [Metric; 3] = [Metric::Power, Metric::Performance, Metric::EnergyEfficiency];
+
+/// The fused sweep at sizes on both sides of `PAR_THRESHOLD` (serial below,
+/// parallel chunks at and above) equals the grid followed by the serial
+/// kernel, for every metric, on seeded machines and ranges.
+#[test]
+fn fused_sweep_bit_identical_to_grid_then_serial_kernel() {
+    let mut rng = Lcg(0xA5A5_0004);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for n in [2, 3, 257, 4097, PAR_THRESHOLD - 1, PAR_THRESHOLD, PAR_THRESHOLD + 123, 1 << 18] {
+        let plan = RooflinePlan::new(random_params(&mut rng));
+        let lo = rng.log_range(1e-3, 1.0);
+        let hi = rng.log_range(10.0, 1e5);
+        for metric in METRICS {
+            let (xs, out) = plan.sweep(metric, lo, hi, n);
+            let (want_xs, want_out) = grid_then_kernel(&plan, metric, lo, hi, n);
+            let ctx = format!("{metric:?} n={n} lo={lo:e} hi={hi:e}");
+            assert_eq!(bits(&xs), bits(&want_xs), "grid, {ctx}");
+            assert_eq!(bits(&out), bits(&want_out), "values, {ctx}");
+        }
+    }
+}
+
+fn panic_message(f: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("must panic");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// The fused sweep panics with the messages of the grid and of the kernel
+/// validation it replaces, including when the last `exp` overflows and the
+/// panic comes from a parallel chunk.
+#[test]
+fn fused_sweep_keeps_the_grid_and_kernel_panic_messages() {
+    let plan = RooflinePlan::new(random_params(&mut Lcg(0xA5A5_0005)));
+    for metric in METRICS {
+        for (lo, hi) in [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1.0, 1.0), (f64::NAN, 1.0), (1.0, f64::INFINITY)] {
+            let msg = panic_message(|| drop(plan.sweep(metric, lo, hi, 16)));
+            assert_eq!(msg, "bad intensity range", "{metric:?} lo={lo} hi={hi}");
+        }
+        for n in [0, 1] {
+            let msg = panic_message(|| drop(plan.sweep(metric, 0.1, 10.0, n)));
+            assert_eq!(msg, "need at least two samples", "{metric:?} n={n}");
+        }
+    }
+
+    // A range whose top endpoint is finite but whose last grid point
+    // rounds past f64::MAX.
+    let lo = [1e-300, 3e-300, 7e-300, 1e-298, 1e-296, 1e-290]
+        .into_iter()
+        .find(|&lo| [257, PAR_THRESHOLD + 123].iter().all(|&n| {
+            sample_intensities(lo, f64::MAX, n).last().is_some_and(|x| x.is_infinite())
+        }))
+        .expect("a range whose last grid point overflows");
+    for n in [257, PAR_THRESHOLD + 123] {
+        for metric in [Metric::Performance, Metric::EnergyEfficiency] {
+            let msg = panic_message(|| drop(plan.sweep(metric, lo, f64::MAX, n)));
+            assert!(msg.starts_with("intensity must be positive and finite"), "{metric:?} n={n}: {msg}");
+            let want = panic_message(|| drop(grid_then_kernel(&plan, metric, lo, f64::MAX, n)));
+            assert_eq!(msg, want, "{metric:?} n={n}");
+        }
+        // The power curve validates nothing: an infinite intensity is a
+        // value, not a panic, on both paths.
+        let (xs, out) = plan.sweep(Metric::Power, lo, f64::MAX, n);
+        let (want_xs, want_out) = grid_then_kernel(&plan, Metric::Power, lo, f64::MAX, n);
+        assert!(xs.iter().zip(&want_xs).all(|(a, b)| a.to_bits() == b.to_bits()), "power grid n={n}");
+        assert!(out.iter().zip(&want_out).all(|(a, b)| a.to_bits() == b.to_bits()), "power n={n}");
     }
 }

@@ -13,9 +13,10 @@
 //! batch open waiting for more, so pipelined load coalesces from queue
 //! depth while a lone request pays no wait. Plans persist across batches
 //! in a per-worker LRU intern table (`ARCHLINE_SERVE_PLAN_CACHE`), and
-//! point evals *and* small sweeps that share a plan are packed into
-//! shared SoA columns — one kernel pass each — with answers split back
-//! per request bit-identically.
+//! point evals that share a plan are packed into shared SoA columns — one
+//! kernel pass — with answers split back per request bit-identically.
+//! Each sweep is one [`RooflinePlan::sweep`] pass that builds its grid
+//! and evaluates its metric together, in parallel chunks when large.
 //!
 //! Two front doors share one engine:
 //!
@@ -40,7 +41,8 @@
 //! * **Panic isolation**: every kernel pass runs under `catch_unwind`; a
 //!   poisoned query (e.g. a sweep with a non-positive intensity bound)
 //!   degrades to a typed [`Reject::Internal`] while the worker keeps
-//!   serving.
+//!   serving. Sweeps and crossovers each run under their own guard, so a
+//!   poisoned one fails alone.
 //! * **Drain on shutdown**: [`Server::shutdown`] stops admission, lets the
 //!   workers drain every queued request, and joins them.
 //!
@@ -73,6 +75,7 @@
 //! query's answer never depends on which batch it landed in.
 //!
 //! [`RooflinePlan`]: archline_core::RooflinePlan
+//! [`RooflinePlan::sweep`]: archline_core::RooflinePlan::sweep
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

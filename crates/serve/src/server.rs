@@ -19,7 +19,6 @@ use std::sync::{mpsc, Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use archline_core::power::sample_intensities;
 use archline_core::{crossovers, EnergyRoofline, MachineParams, Metric, PowerCap, RooflinePlan};
 use archline_faults::{FaultPlan, FaultSpec};
 use archline_fit::Run;
@@ -1086,15 +1085,9 @@ fn process_batch(inner: &Inner, shard_idx: usize, batch: Vec<Pending>, plans: &m
 /// gets a typed `Internal` answer.
 fn process_group(inner: &Inner, shard_idx: usize, plan: &RooflinePlan, group: Vec<Pending>) {
     let breaker = &inner.shards[shard_idx].breaker;
-    let outcomes = catch_unwind(AssertUnwindSafe(|| evaluate_group(inner, plan, &group)));
-    let per_request: Vec<Result<QueryResult, String>> = match outcomes {
+    let per_request = match guarded(inner, || evaluate_group(inner, plan, &group)) {
         Ok(Ok(results)) => results,
-        Ok(Err(group_error)) => vec![Err(group_error); group.len()],
-        Err(payload) => {
-            ServeStats::bump(&inner.stats.panics_caught);
-            flight_incident(inner, "worker_panic");
-            vec![Err(format!("panic: {}", panic_text(payload))); group.len()]
-        }
+        Ok(Err(why)) | Err(why) => vec![Err(why); group.len()],
     };
 
     for (p, outcome) in group.into_iter().zip(per_request) {
@@ -1127,6 +1120,24 @@ fn process_group(inner: &Inner, shard_idx: usize, plan: &RooflinePlan, group: Ve
     }
 }
 
+/// Runs `f` under a panic guard: a panic becomes the `Err` text of a typed
+/// `Internal` answer, counted once in `panics_caught`.
+fn guarded<T>(inner: &Inner, f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        ServeStats::bump(&inner.stats.panics_caught);
+        flight_incident(inner, "worker_panic");
+        format!("panic: {}", panic_text(payload))
+    })
+}
+
+fn core_metric(metric: SweepMetric) -> Metric {
+    match metric {
+        SweepMetric::Power => Metric::Power,
+        SweepMetric::Perf => Metric::Performance,
+        SweepMetric::EnergyEff => Metric::EnergyEfficiency,
+    }
+}
+
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
@@ -1135,29 +1146,18 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Sweeps up to this many points are packed into the shared per-metric
-/// column; larger grids evaluate inline rather than bloat the pass.
-const PACKED_SWEEP_MAX_POINTS: usize = 4096;
-
-/// One metric's packed sweep column: the concatenated intensity grids of
-/// every small sweep in the group that asked for this metric.
-#[derive(Default)]
-struct SweepCol {
-    xs: Vec<f64>,
-    out: Vec<f64>,
-}
-
 /// One kernel pass over a plan-group. `Err` at the outer level is a
 /// whole-group failure (every request in it fails); the inner per-request
-/// `Result` carries per-request corruption.
+/// `Result` carries per-request corruption and per-request panics.
 ///
 /// All `Eval` queries in the group are concatenated into one SoA buffer
-/// and evaluated in a single fused `evaluate_batch` pass. Small sweeps
-/// sharing the plan are likewise packed per metric into one concatenated
-/// intensity column and answered by a single batched curve pass each —
-/// the sweep kernels are elementwise over the grid, so the per-request
-/// split-back is bit-identical to evaluating each sweep alone (pinned by
-/// `tests/serve_batching.rs`). Crossovers run their own grid search.
+/// and evaluated in a single fused `evaluate_batch` pass. Each sweep is
+/// one [`RooflinePlan::sweep`] call, which builds its grid and evaluates
+/// its metric in the same pass (parallel above the kernel threshold); the
+/// sweep kernels are elementwise, so packing sweeps would save no work and
+/// only copy every grid in and every answer out. Crossovers run their own
+/// grid search. Sweeps and crossovers each run under their own panic
+/// guard, so a poisoned one fails alone.
 #[allow(clippy::type_complexity)]
 fn evaluate_group(
     inner: &Inner,
@@ -1182,37 +1182,6 @@ fn evaluate_group(
     let mut regime = vec![archline_core::Regime::MemoryBound; n];
     if n > 0 {
         plan.evaluate_batch(&flops, &bytes, &mut time, &mut energy, &mut power, &mut regime);
-    }
-
-    // Phase 1b: pack the group's small sweeps per metric and answer each
-    // metric with one batched curve pass over the concatenated grids.
-    let col_of = |m: &SweepMetric| match m {
-        SweepMetric::Power => 0usize,
-        SweepMetric::Perf => 1,
-        SweepMetric::EnergyEff => 2,
-    };
-    let mut cols = [SweepCol::default(), SweepCol::default(), SweepCol::default()];
-    let mut packed_sweeps: HashMap<usize, (usize, usize, usize)> = HashMap::new(); // gi -> (col, start, len)
-    for (gi, p) in group.iter().enumerate() {
-        if let Query::Sweep { metric, lo, hi, points } = &p.query {
-            if *points <= PACKED_SWEEP_MAX_POINTS {
-                let col = &mut cols[col_of(metric)];
-                let xs = sample_intensities(*lo, *hi, *points);
-                packed_sweeps.insert(gi, (col_of(metric), col.xs.len(), xs.len()));
-                col.xs.extend_from_slice(&xs);
-            }
-        }
-    }
-    for (ci, col) in cols.iter_mut().enumerate() {
-        if col.xs.is_empty() {
-            continue;
-        }
-        col.out.resize(col.xs.len(), 0.0);
-        match ci {
-            0 => plan.avg_power_batch(&col.xs, &mut col.out),
-            1 => plan.perf_batch(&col.xs, &mut col.out),
-            _ => plan.energy_eff_batch(&col.xs, &mut col.out),
-        }
     }
 
     // Chaos mode: route the group's eval results through the platform's
@@ -1268,8 +1237,8 @@ fn evaluate_group(
         }
     }
 
-    // Phase 2: assemble per-request results; sweeps/crossovers evaluate
-    // here (their kernels are the batched curve evaluators).
+    // Phase 2: assemble per-request results; sweeps and crossovers
+    // evaluate here, one request at a time, each under its own guard.
     let mut results: Vec<Result<QueryResult, String>> = Vec::with_capacity(group.len());
     let mut span_iter = spans.iter().peekable();
     for (gi, p) in group.iter().enumerate() {
@@ -1296,28 +1265,10 @@ fn evaluate_group(
                     }
                 }
             },
-            Query::Sweep { metric, lo, hi, points } => match packed_sweeps.get(&gi) {
-                Some(&(ci, start, len)) => match cols.get(ci) {
-                    // The column index came from `col_of` above; a miss is
-                    // a bookkeeping bug and fails this request only.
-                    None => Err("internal: sweep column bookkeeping out of sync".to_string()),
-                    Some(col) => Ok(QueryResult::Sweep {
-                        intensity: col.xs[start..start + len].to_vec(),
-                        value: col.out[start..start + len].to_vec(),
-                    }),
-                },
-                // Oversized sweeps evaluate inline over their own grid.
-                None => {
-                    let xs = sample_intensities(*lo, *hi, *points);
-                    let mut out = vec![0.0; xs.len()];
-                    match metric {
-                        SweepMetric::Power => plan.avg_power_batch(&xs, &mut out),
-                        SweepMetric::Perf => plan.perf_batch(&xs, &mut out),
-                        SweepMetric::EnergyEff => plan.energy_eff_batch(&xs, &mut out),
-                    }
-                    Ok(QueryResult::Sweep { intensity: xs, value: out })
-                }
-            },
+            Query::Sweep { metric, lo, hi, points } => guarded(inner, || {
+                let (intensity, value) = plan.sweep(core_metric(*metric), *lo, *hi, *points);
+                QueryResult::Sweep { intensity, value }
+            }),
             Query::Crossover { metric, lo, hi, grid, .. } => match p.other_params {
                 // Admission resolves the comparison platform before the
                 // request reaches a shard; a missing resolution is an
@@ -1326,20 +1277,15 @@ fn evaluate_group(
                     "internal: crossover admitted without resolved comparison params"
                         .to_string(),
                 ),
-                Some(other) => {
+                Some(other) => guarded(inner, || {
                     let a = EnergyRoofline::new(p.params);
                     let b = EnergyRoofline::new(other);
-                    let core_metric = match metric {
-                        SweepMetric::Power => Metric::Power,
-                        SweepMetric::Perf => Metric::Performance,
-                        SweepMetric::EnergyEff => Metric::EnergyEfficiency,
-                    };
-                    let crossings = crossovers(&a, &b, core_metric, *lo, *hi, *grid)
+                    let crossings = crossovers(&a, &b, core_metric(*metric), *lo, *hi, *grid)
                         .into_iter()
                         .map(|c| (c.intensity, c.a_leads_below))
                         .collect();
-                    Ok(QueryResult::Crossover { crossings })
-                }
+                    QueryResult::Crossover { crossings }
+                }),
             },
         };
         results.push(result);

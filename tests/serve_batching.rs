@@ -1,6 +1,6 @@
 //! Batching-invariance property suite: queue-depth batching, per-worker
-//! plan caching, and cross-request SoA packing must be *invisible* in the
-//! answers.
+//! plan caching, and cross-request SoA packing of evals must be
+//! *invisible* in the answers.
 //!
 //! A worker never holds a batch open; it dispatches whatever its queue
 //! holds. So every multi-request case first submits a busy head request
@@ -11,11 +11,17 @@
 //!
 //! * **Bit-identity vs `max_batch = 1`** — the same workload served by a
 //!   strict one-request-per-batch engine and by a wide engine (batches
-//!   coalesced across requests and packed into shared SoA columns)
+//!   coalesced across requests, evals packed into shared SoA columns)
 //!   produces byte-for-byte identical answers, for every query kind:
-//!   point evals, all three sweep metrics (both packed small grids and
-//!   oversized inline grids), crossovers, and what-if cap overrides that
-//!   multiply the distinct-plan count.
+//!   point evals, all three sweep metrics (small grids and, per metric, one
+//!   grid on the parallel side of `PAR_THRESHOLD`), crossovers, and
+//!   what-if cap overrides that multiply the distinct-plan count. Every
+//!   sweep answer also equals the grid and serial kernel evaluated
+//!   directly on the plan.
+//! * **Poisoned-request isolation** — a sweep or crossover whose grid
+//!   panics fails alone, with a typed `Internal` answer, one caught panic
+//!   and one breaker failure; its batchmates on the same plan answer as
+//!   usual.
 //! * **Deadlines** — an already-expired request is answered with a typed
 //!   `DeadlineExceeded` at the batch boundary.
 //! * **Many-plans group-by** — a batch where every request carries a
@@ -29,19 +35,15 @@
 //!   off changes only the response envelope (trace ids, `phases_us`),
 //!   never a result bit.
 
+use archline_core::plan::PAR_THRESHOLD;
 use archline_core::power::sample_intensities;
 use archline_core::RooflinePlan;
 use archline_platforms::{all_platforms, Precision};
 use archline_serve::protocol::MAX_WIRE_POINTS;
 use archline_serve::{
-    CapOverride, Query, QueryResult, Reject, Request, ServeConfig, ServeHandle, Server,
-    SweepMetric,
+    BreakerState, CapOverride, Query, QueryResult, Reject, Request, ServeConfig, ServeHandle,
+    Server, SweepMetric,
 };
-
-/// Sweeps past this many points bypass the packed column (mirrors the
-/// server's `PACKED_SWEEP_MAX_POINTS`); one workload sweep sits above it
-/// so the inline path is exercised too.
-const OVERSIZED_SWEEP_POINTS: usize = 5_000;
 
 fn req(id: u64, platform: &str, query: Query) -> Request {
     Request {
@@ -62,8 +64,9 @@ fn eval_query(n: usize, scale: f64) -> Query {
     }
 }
 
-/// A mixed workload touching every query kind, several platforms, both
-/// packed and oversized sweeps, and throttle overrides (distinct plans).
+/// A mixed workload touching every query kind, several platforms, small,
+/// mid-size and parallel-path sweeps, and throttle overrides (distinct
+/// plans).
 fn workload() -> Vec<Request> {
     let platforms = ["GTX Titan", "Desktop CPU", "NUC CPU", "GTX 680"];
     let mut reqs = Vec::new();
@@ -84,12 +87,11 @@ fn workload() -> Vec<Request> {
                 points: 33,
             }));
         }
-        // Oversized sweep: bypasses the packed column, evaluates inline.
         reqs.push(req(next_id(), platform, Query::Sweep {
             metric: SweepMetric::Perf,
             lo: 0.1,
             hi: 100.0,
-            points: OVERSIZED_SWEEP_POINTS,
+            points: 5_000,
         }));
         reqs.push(req(next_id(), platform, Query::Crossover {
             other: platforms[(pi + 1) % platforms.len()].to_string(),
@@ -103,6 +105,18 @@ fn workload() -> Vec<Request> {
         throttled.cap = Some(CapOverride::Throttle(2.0 + pi as f64));
         reqs.push(throttled);
     }
+    // One sweep per metric large enough for the parallel fused pass.
+    for (mi, metric) in [SweepMetric::Power, SweepMetric::Perf, SweepMetric::EnergyEff]
+        .into_iter()
+        .enumerate()
+    {
+        reqs.push(req(next_id(), platforms[mi], Query::Sweep {
+            metric,
+            lo: 0.02,
+            hi: 2e3,
+            points: PAR_THRESHOLD + 123,
+        }));
+    }
     reqs
 }
 
@@ -110,8 +124,7 @@ fn workload() -> Vec<Request> {
 type Answers = Vec<(u64, Result<QueryResult, Reject>)>;
 
 /// A request that keeps a worker busy while a case's real requests queue
-/// up behind it: an inline (unpacked) sweep of the most points a request
-/// may carry. Its id, 0, is one no workload uses.
+/// up behind it: a sweep of the most points a request may carry. Its id, 0, is one no workload uses.
 fn busy_head() -> Request {
     req(0, "GTX Titan", Query::Sweep {
         metric: SweepMetric::Perf,
@@ -184,6 +197,38 @@ fn assert_bits_equal(id: u64, a: &Result<QueryResult, Reject>, b: &Result<QueryR
     }
 }
 
+/// The single-precision parameters of a catalog platform.
+fn platform_params(name: &str) -> archline_core::MachineParams {
+    all_platforms()
+        .into_iter()
+        .find(|p| p.name == name)
+        .expect("platform")
+        .machine_params(Precision::Single)
+        .expect("single")
+}
+
+/// Fails unless a sweep's answer equals its grid followed by the metric's
+/// serial kernel, evaluated directly on the request's plan. Other query
+/// kinds pass through.
+fn assert_sweep_matches_plan(r: &Request, result: &Result<QueryResult, Reject>) {
+    let Query::Sweep { metric, lo, hi, points } = &r.query else { return };
+    assert!(r.cap.is_none(), "sweep {}: the direct plan here has no cap override", r.id);
+    let plan = RooflinePlan::new(platform_params(&r.platform));
+    let xs = sample_intensities(*lo, *hi, *points);
+    let mut want = vec![0.0; xs.len()];
+    match metric {
+        SweepMetric::Power => plan.avg_power_batch_serial(&xs, &mut want),
+        SweepMetric::Perf => plan.perf_batch_serial(&xs, &mut want),
+        SweepMetric::EnergyEff => plan.energy_eff_batch_serial(&xs, &mut want),
+    }
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let Ok(QueryResult::Sweep { intensity, value }) = result else {
+        panic!("sweep {} rejected: {result:?}", r.id);
+    };
+    assert_eq!(bits(intensity), bits(&xs), "sweep {}: grid bits", r.id);
+    assert_eq!(bits(value), bits(&want), "sweep {}: value bits", r.id);
+}
+
 /// One shard + `max_batch = 1`: the strictest possible serving mode —
 /// every request is its own kernel pass.
 fn unbatched_config() -> ServeConfig {
@@ -194,6 +239,10 @@ fn unbatched_config() -> ServeConfig {
 fn windowed_packed_serving_is_bit_identical_to_unbatched() {
     let reqs = workload();
     let (reference, _) = serve_all(unbatched_config(), &reqs);
+    for (r, (id, answer)) in reqs.iter().zip(&reference) {
+        assert_eq!(r.id, *id);
+        assert_sweep_matches_plan(r, answer);
+    }
 
     // One shard forces every plan group through the same worker and
     // packed columns; the queued workload fills wide batches.
@@ -360,9 +409,9 @@ fn plan_cache_persists_across_batches() {
 
 #[test]
 fn packed_sweeps_match_direct_kernel_evaluation() {
-    // Beyond server-vs-server identity: packed sweep answers must equal
-    // the *direct* kernel over the request's own grid (the packing is a
-    // concatenation, never a re-gridding).
+    // Beyond server-vs-server identity: sweep answers must equal the
+    // *direct* kernel over the request's own grid, also when many sweeps
+    // share a batch.
     let params = all_platforms()
         .into_iter()
         .find(|p| p.name == "NUC CPU")
@@ -403,5 +452,60 @@ fn packed_sweeps_match_direct_kernel_evaluation() {
             assert_eq!(xs[k].to_bits(), intensity[k].to_bits(), "sweep {} grid[{k}]", r.id);
             assert_eq!(want[k].to_bits(), value[k].to_bits(), "sweep {} value[{k}]", r.id);
         }
+    }
+}
+
+#[test]
+fn a_poisoned_sweep_fails_alone_and_its_batchmates_answer() {
+    // Queued behind the busy head, on one plan: a poisoned query (a sweep
+    // or a crossover whose grid panics at `lo = 0`), an eval, a good sweep
+    // and a good crossover. Only the poisoned request fails; the breaker
+    // trips at two consecutive failures, so it would open if a batchmate
+    // failed with it.
+    let poisons = [
+        Query::Sweep { metric: SweepMetric::Perf, lo: 0.0, hi: 10.0, points: 64 },
+        Query::Crossover {
+            other: "GTX 680".to_string(),
+            metric: SweepMetric::Perf,
+            lo: 0.0,
+            hi: 10.0,
+            grid: 64,
+        },
+    ];
+    for poison in poisons {
+        let reqs = vec![
+            req(1, "NUC CPU", poison),
+            req(2, "NUC CPU", eval_query(16, 1.0)),
+            req(3, "NUC CPU", Query::Sweep {
+                metric: SweepMetric::EnergyEff,
+                lo: 0.1,
+                hi: 10.0,
+                points: 64,
+            }),
+            req(4, "NUC CPU", Query::Crossover {
+                other: "GTX 680".to_string(),
+                metric: SweepMetric::EnergyEff,
+                lo: 0.01,
+                hi: 1e4,
+                grid: 128,
+            }),
+        ];
+        let config = ServeConfig { shards: 1, breaker_trip: 2, ..ServeConfig::default() };
+        let (answers, after) = serve_all(config.clone(), &reqs);
+        assert_coalesced(&after);
+        let want = Err(Reject::Internal("panic: bad intensity range".to_string()));
+        assert_eq!(answers[0].1, want, "the poisoned request gets a typed internal answer");
+        let stats = after.stats();
+        let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(load(&stats.panics_caught), 1, "one poisoned request, one caught panic");
+        assert_eq!(load(&stats.failed), 1, "one poisoned request, one failure");
+        assert_eq!(after.breaker_state(0), BreakerState::Closed, "one failure does not trip the breaker");
+
+        let (reference, _) = serve_all(ServeConfig { max_batch: 1, ..config }, &reqs);
+        assert_eq!(reference[0].1, want);
+        for ((id, a), (_, b)) in answers.iter().zip(&reference).skip(1) {
+            assert_bits_equal(*id, a, b);
+        }
+        assert_sweep_matches_plan(&reqs[2], &answers[2].1);
     }
 }
