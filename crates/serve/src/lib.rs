@@ -3,20 +3,21 @@
 //! A long-running, concurrent query engine over the energy-roofline model:
 //! clients ask "time/energy/power of `(W, Q)` on platform X" — as point
 //! evaluations, metric sweeps, crossover searches, or what-if cap changes —
-//! and the server answers out of interned [`RooflinePlan`]s, admission-
-//! batching concurrent queries into the SoA batch kernels so many queries
-//! share one kernel pass.
+//! and the server answers out of interned [`RooflinePlan`]s with the SoA
+//! batch kernels.
 //!
 //! A batch is whatever the shard queue holds: a worker blocks for one
 //! request, drains the rest of its queue (up to
 //! [`ServeConfig::max_batch`]), and evaluates at once. It never holds a
 //! batch open waiting for more, so pipelined load coalesces from queue
 //! depth while a lone request pays no wait. Plans persist across batches
-//! in a per-worker LRU intern table (`ARCHLINE_SERVE_PLAN_CACHE`), and
-//! point evals that share a plan are packed into shared SoA columns — one
-//! kernel pass — with answers split back per request bit-identically.
-//! Each sweep is one [`RooflinePlan::sweep`] pass that builds its grid
-//! and evaluates its metric together, in parallel chunks when large.
+//! in a per-worker LRU intern table (`ARCHLINE_SERVE_PLAN_CACHE`). Within
+//! a batch every request is evaluated on its own and answered as soon as
+//! it is computed: the model is pointwise, so packing requests into shared
+//! kernel passes would save no arithmetic, only copies. An eval is one
+//! fused batch-kernel pass written straight into its answer columns; a
+//! sweep is one [`RooflinePlan::sweep`] pass that builds its grid and
+//! evaluates its metric together, in parallel chunks when large.
 //!
 //! Two front doors share one engine:
 //!
@@ -38,11 +39,10 @@
 //! * **Circuit breaker**: per shard — consecutive evaluation failures trip
 //!   it open, admission then rejects with [`Reject::BreakerOpen`], and
 //!   after a cooldown a half-open probe decides whether to close it.
-//! * **Panic isolation**: every kernel pass runs under `catch_unwind`; a
-//!   poisoned query (e.g. a sweep with a non-positive intensity bound)
-//!   degrades to a typed [`Reject::Internal`] while the worker keeps
-//!   serving. Sweeps and crossovers each run under their own guard, so a
-//!   poisoned one fails alone.
+//! * **Panic isolation**: every request is evaluated under its own
+//!   `catch_unwind` guard; a poisoned query (e.g. a sweep with a
+//!   non-positive intensity bound) degrades to a typed [`Reject::Internal`]
+//!   and fails alone while the worker keeps serving.
 //! * **Drain on shutdown**: [`Server::shutdown`] stops admission, lets the
 //!   workers drain every queued request, and joins them.
 //!

@@ -57,7 +57,7 @@ pub struct Phases {
     /// waits for more work here.
     pub window_us: u64,
     /// Batch dispatch to answer: plan lookup plus kernel evaluation
-    /// (including sibling plan-groups in the batch).
+    /// (including the batchmates evaluated ahead of it in the batch).
     pub kernel_us: u64,
     /// Admission to answer.
     pub total_us: u64,

@@ -3,11 +3,11 @@
 //!
 //! Requests are admitted on the caller's thread (resolve + validate +
 //! breaker check + bounded `try_send`), then a shard worker drains its
-//! queue into batches, concatenates every point-evaluation in the batch
-//! into one SoA buffer, and runs a single fused kernel pass — many queries
-//! per pass. Plans are interned per worker keyed by the
-//! [`MachineParams`]-bits hash that also picks the shard, so a platform's
-//! queries always meet a warm plan.
+//! queue into a batch, answers the expired requests, and evaluates each
+//! live one on its own — one kernel pass and one panic guard per request,
+//! answered as soon as it is computed. Plans are interned per worker keyed
+//! by the [`MachineParams`]-bits hash that also picks the shard, so a
+//! platform's queries always meet a warm plan.
 //!
 //! [`RooflinePlan`]: archline_core::RooflinePlan
 
@@ -93,7 +93,7 @@ pub struct ServeConfig {
     pub queue_bound: usize,
     /// Default per-request deadline (a request's `deadline_ms` overrides).
     pub deadline: Duration,
-    /// Most requests folded into one kernel batch.
+    /// Most queued requests a worker drains into one batch.
     pub max_batch: usize,
     /// Most points/grid entries accepted per request.
     pub max_points: usize,
@@ -1042,61 +1042,30 @@ fn process_batch(inner: &Inner, shard_idx: usize, batch: Vec<Pending>, plans: &m
     // requests without evaluating them. Deadline outcomes never touch the
     // breaker — a queueing delay is not an evaluation failure.
     let now = Instant::now();
-    let (mut live, expired): (Vec<Pending>, Vec<Pending>) =
+    let (live, expired): (Vec<Pending>, Vec<Pending>) =
         batch.into_iter().partition(|p| p.deadline > now);
     for p in expired {
         ServeStats::bump(&inner.stats.deadline_expired);
         respond(inner, &p, Err(Reject::DeadlineExceeded));
     }
-    if live.is_empty() {
-        return;
-    }
-    // End of the window phase (batch assembly): the batch dispatches to
-    // evaluation. One stamp for the whole batch — the partition instant.
-    for p in &mut live {
-        p.dispatched = Some(now);
-    }
 
-    // Group by interned plan so each group is one kernel pass. Groups are
-    // hash-indexed but keep first-seen order, and requests keep submission
-    // order within a group; results are split back per-request, so
-    // batching is invisible in the answers (the kernels are elementwise
-    // and split-invariant).
-    let mut groups: Vec<(u64, Vec<Pending>)> = Vec::new();
-    let mut index: HashMap<u64, usize> = HashMap::new();
-    for p in live {
-        let slot = *index.entry(p.plan_key).or_insert_with(|| {
-            groups.push((p.plan_key, Vec::new()));
-            groups.len() - 1
-        });
-        if let Some((_, g)) = groups.get_mut(slot) {
-            g.push(p);
-        }
-    }
-    for (key, group) in groups {
-        let Some(first_params) = group.first().map(|p| p.params) else { continue };
-        let plan = plans.plan(&inner.stats, key, &first_params);
-        process_group(inner, shard_idx, &plan, group);
-    }
-}
-
-/// Evaluates one plan-group, with panic isolation and breaker accounting.
-/// A failed request fails once: it trips the breaker's failure count and
-/// gets a typed `Internal` answer.
-fn process_group(inner: &Inner, shard_idx: usize, plan: &RooflinePlan, group: Vec<Pending>) {
+    // Each live request is evaluated on its own interned plan, under its own
+    // panic guard, and answered at once: the model is pointwise, so packing
+    // requests into shared kernel passes would save no arithmetic.
     let breaker = &inner.shards[shard_idx].breaker;
-    let per_request = match guarded(inner, || evaluate_group(inner, plan, &group)) {
-        Ok(Ok(results)) => results,
-        Ok(Err(why)) | Err(why) => vec![Err(why); group.len()],
-    };
-
-    for (p, outcome) in group.into_iter().zip(per_request) {
-        match outcome {
+    for mut p in live {
+        // End of the window phase (batch assembly): one stamp for the whole
+        // batch — the partition instant.
+        p.dispatched = Some(now);
+        let plan = plans.plan(&inner.stats, p.plan_key, &p.params);
+        match guarded(inner, || evaluate(inner, &plan, &p)).and_then(|r| r) {
             Ok(result) => {
                 breaker.on_success();
                 respond(inner, &p, Ok(result));
             }
             Err(why) => {
+                // A failed request fails once: it counts one breaker
+                // failure and gets a typed `Internal` answer.
                 ServeStats::bump(&inner.stats.failed);
                 if breaker.on_failure() {
                     flight_incident(inner, "breaker_trip");
@@ -1146,151 +1115,99 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// One kernel pass over a plan-group. `Err` at the outer level is a
-/// whole-group failure (every request in it fails); the inner per-request
-/// `Result` carries per-request corruption and per-request panics.
+/// One request's kernel pass on its interned plan; `Err` fails this
+/// request only.
 ///
-/// All `Eval` queries in the group are concatenated into one SoA buffer
-/// and evaluated in a single fused `evaluate_batch` pass. Each sweep is
-/// one [`RooflinePlan::sweep`] call, which builds its grid and evaluates
-/// its metric in the same pass (parallel above the kernel threshold); the
-/// sweep kernels are elementwise, so packing sweeps would save no work and
-/// only copy every grid in and every answer out. Crossovers run their own
-/// grid search. Sweeps and crossovers each run under their own panic
-/// guard, so a poisoned one fails alone.
-#[allow(clippy::type_complexity)]
-fn evaluate_group(
-    inner: &Inner,
-    plan: &RooflinePlan,
-    group: &[Pending],
-) -> Result<Vec<Result<QueryResult, String>>, String> {
-    // Phase 1: the fused SoA pass for every Eval in the group.
-    let mut spans: Vec<(usize, usize, usize)> = Vec::new(); // (group idx, start, len)
-    let mut flops: Vec<f64> = Vec::new();
-    let mut bytes: Vec<f64> = Vec::new();
-    for (gi, p) in group.iter().enumerate() {
-        if let Query::Eval { flops: f, bytes: b } = &p.query {
-            spans.push((gi, flops.len(), f.len()));
-            flops.extend_from_slice(f);
-            bytes.extend_from_slice(b);
+/// An eval is one fused [`RooflinePlan::evaluate_batch`] written straight
+/// into its answer columns. A sweep is one [`RooflinePlan::sweep`] call,
+/// which builds its grid and evaluates its metric in the same pass
+/// (parallel above the kernel threshold). A crossover runs its own grid
+/// search.
+fn evaluate(inner: &Inner, plan: &RooflinePlan, p: &Pending) -> Result<QueryResult, String> {
+    match &p.query {
+        Query::Eval { flops, bytes } => {
+            let n = flops.len();
+            let (mut time, mut energy, mut power) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+            let mut regime = vec![archline_core::Regime::MemoryBound; n];
+            plan.evaluate_batch(flops, bytes, &mut time, &mut energy, &mut power, &mut regime);
+            verify_injected(inner, &p.platform, flops, bytes, &time, &energy)?;
+            let regime = regime.iter().map(|r| r.letter()).collect();
+            Ok(QueryResult::Eval { time, energy, power, regime })
         }
-    }
-    let n = flops.len();
-    let mut time = vec![0.0; n];
-    let mut energy = vec![0.0; n];
-    let mut power = vec![0.0; n];
-    let mut regime = vec![archline_core::Regime::MemoryBound; n];
-    if n > 0 {
-        plan.evaluate_batch(&flops, &bytes, &mut time, &mut energy, &mut power, &mut regime);
-    }
-
-    // Chaos mode: route the group's eval results through the platform's
-    // fault plan (runs-shaped, audited at site "serve"), then detect
-    // corruption against the pre-injection bits. Detection is honest
-    // redundancy: the injected path simulates a flaky compute backend,
-    // and the server refuses to return answers that fail verification.
-    let mut corrupted = vec![false; group.len()];
-    if n > 0 {
-        if let Some((_, fault_plan)) = group.first().and_then(|first| {
-            inner.config.inject.iter().find(|(name, _)| *name == first.platform)
-        }) {
-            // ordering: Relaxed — the counter only needs to hand each
-            // batch a distinct rotation for seed derivation; no other
-            // shared data rides on it.
-            let rotation = inner.injections_applied.fetch_add(1, Ordering::Relaxed);
-            let rotated = FaultPlan::new(
-                fault_plan
-                    .specs
-                    .iter()
-                    .map(|s| FaultSpec::new(s.class, s.severity, s.seed.wrapping_add(rotation)))
-                    .collect(),
-            );
-            let runs: Vec<Run> = (0..n)
-                .map(|i| Run {
-                    flops: flops[i],
-                    bytes: bytes[i],
-                    accesses: 0.0,
-                    time: time[i],
-                    energy: energy[i],
-                })
+        Query::Sweep { metric, lo, hi, points } => {
+            let (intensity, value) = plan.sweep(core_metric(*metric), *lo, *hi, *points);
+            Ok(QueryResult::Sweep { intensity, value })
+        }
+        Query::Crossover { metric, lo, hi, grid, .. } => {
+            // Admission resolves the comparison platform before the request
+            // reaches a shard; a missing resolution is an admission bug and
+            // fails this request only.
+            let other = p.other_params.ok_or_else(|| {
+                "internal: crossover admitted without resolved comparison params".to_string()
+            })?;
+            let a = EnergyRoofline::new(p.params);
+            let b = EnergyRoofline::new(other);
+            let crossings = crossovers(&a, &b, core_metric(*metric), *lo, *hi, *grid)
+                .into_iter()
+                .map(|c| (c.intensity, c.a_leads_below))
                 .collect();
-            let injected = rotated.apply_to_runs_at(runs, "serve");
-            if injected.len() != n {
-                return Err(format!(
-                    "injected corruption changed the result count ({} -> {})",
-                    n,
-                    injected.len()
-                ));
-            }
-            for &(gi, start, len) in &spans {
-                let clean = time[start..start + len]
-                    .iter()
-                    .zip(&energy[start..start + len])
-                    .zip(&injected[start..start + len])
-                    .all(|((t, e), r)| {
-                        t.to_bits() == r.time.to_bits() && e.to_bits() == r.energy.to_bits()
-                    });
-                if !clean {
-                    corrupted[gi] = true;
-                }
-            }
+            Ok(QueryResult::Crossover { crossings })
         }
     }
+}
 
-    // Phase 2: assemble per-request results; sweeps and crossovers
-    // evaluate here, one request at a time, each under its own guard.
-    let mut results: Vec<Result<QueryResult, String>> = Vec::with_capacity(group.len());
-    let mut span_iter = spans.iter().peekable();
-    for (gi, p) in group.iter().enumerate() {
-        let result = match &p.query {
-            Query::Eval { .. } => match span_iter.next() {
-                // One span per eval is established in phase 1; running dry
-                // here is a bookkeeping bug and surfaces as a per-request
-                // error, not a worker panic.
-                None => Err("internal: eval span bookkeeping out of sync".to_string()),
-                Some(&(_, start, len)) => {
-                    if corrupted[gi] {
-                        Err("fault-injected corruption detected by result verification"
-                            .to_string())
-                    } else {
-                        Ok(QueryResult::Eval {
-                            time: time[start..start + len].to_vec(),
-                            energy: energy[start..start + len].to_vec(),
-                            power: power[start..start + len].to_vec(),
-                            regime: regime[start..start + len]
-                                .iter()
-                                .map(|r| r.letter())
-                                .collect(),
-                        })
-                    }
-                }
-            },
-            Query::Sweep { metric, lo, hi, points } => guarded(inner, || {
-                let (intensity, value) = plan.sweep(core_metric(*metric), *lo, *hi, *points);
-                QueryResult::Sweep { intensity, value }
-            }),
-            Query::Crossover { metric, lo, hi, grid, .. } => match p.other_params {
-                // Admission resolves the comparison platform before the
-                // request reaches a shard; a missing resolution is an
-                // admission bug and fails this request only.
-                None => Err(
-                    "internal: crossover admitted without resolved comparison params"
-                        .to_string(),
-                ),
-                Some(other) => guarded(inner, || {
-                    let a = EnergyRoofline::new(p.params);
-                    let b = EnergyRoofline::new(other);
-                    let crossings = crossovers(&a, &b, core_metric(*metric), *lo, *hi, *grid)
-                        .into_iter()
-                        .map(|c| (c.intensity, c.a_leads_below))
-                        .collect();
-                    QueryResult::Crossover { crossings }
-                }),
-            },
-        };
-        results.push(result);
+/// Chaos mode: routes one eval's results through its platform's fault plan
+/// (runs-shaped, audited at site "serve"), then checks the injected runs
+/// against the computed bits. Detection is honest redundancy: the injected
+/// path simulates a flaky compute backend, and the server refuses to
+/// return answers that fail verification. A platform with no fault plan
+/// passes untouched.
+fn verify_injected(
+    inner: &Inner,
+    platform: &str,
+    flops: &[f64],
+    bytes: &[f64],
+    time: &[f64],
+    energy: &[f64],
+) -> Result<(), String> {
+    let Some((_, fault_plan)) = inner.config.inject.iter().find(|(name, _)| name == platform)
+    else {
+        return Ok(());
+    };
+    // ordering: Relaxed — the counter only needs to hand each application a
+    // distinct rotation for seed derivation; no other shared data rides on it.
+    let rotation = inner.injections_applied.fetch_add(1, Ordering::Relaxed);
+    let rotated = FaultPlan::new(
+        fault_plan
+            .specs
+            .iter()
+            .map(|s| FaultSpec::new(s.class, s.severity, s.seed.wrapping_add(rotation)))
+            .collect(),
+    );
+    let runs: Vec<Run> = (0..time.len())
+        .map(|i| Run {
+            flops: flops[i],
+            bytes: bytes[i],
+            accesses: 0.0,
+            time: time[i],
+            energy: energy[i],
+        })
+        .collect();
+    let injected = rotated.apply_to_runs_at(runs, "serve");
+    if injected.len() != time.len() {
+        return Err(format!(
+            "injected corruption changed the result count ({} -> {})",
+            time.len(),
+            injected.len()
+        ));
     }
-    Ok(results)
+    let clean = time.iter().zip(energy).zip(&injected).all(|((t, e), r)| {
+        t.to_bits() == r.time.to_bits() && e.to_bits() == r.energy.to_bits()
+    });
+    if !clean {
+        return Err("fault-injected corruption detected by result verification".to_string());
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
-//! Batching-invariance property suite: queue-depth batching, per-worker
-//! plan caching, and cross-request SoA packing of evals must be
-//! *invisible* in the answers.
+//! Batching-invariance property suite: queue-depth batching and
+//! per-worker plan caching must be *invisible* in the answers. Every
+//! request in a batch is evaluated on its own, under its own panic guard.
 //!
 //! A worker never holds a batch open; it dispatches whatever its queue
 //! holds. So every multi-request case first submits a busy head request
@@ -11,7 +11,7 @@
 //!
 //! * **Bit-identity vs `max_batch = 1`** — the same workload served by a
 //!   strict one-request-per-batch engine and by a wide engine (batches
-//!   coalesced across requests, evals packed into shared SoA columns)
+//!   coalesced across requests, plans shared through the intern table)
 //!   produces byte-for-byte identical answers, for every query kind:
 //!   point evals, all three sweep metrics (small grids and, per metric, one
 //!   grid on the parallel side of `PAR_THRESHOLD`), crossovers, and
@@ -21,16 +21,16 @@
 //! * **Poisoned-request isolation** — a sweep or crossover whose grid
 //!   panics fails alone, with a typed `Internal` answer, one caught panic
 //!   and one breaker failure; its batchmates on the same plan answer as
-//!   usual.
+//!   usual. So does an eval whose fault-injected results fail
+//!   verification.
 //! * **Deadlines** — an already-expired request is answered with a typed
 //!   `DeadlineExceeded` at the batch boundary.
-//! * **Many-plans group-by** — a batch where every request carries a
-//!   distinct plan key (the O(n²) group-by regression shape) still
-//!   answers every request correctly and bit-identically to direct plan
-//!   evaluation.
+//! * **Many plans in one batch** — a batch where every request carries a
+//!   distinct plan key still answers every request correctly and
+//!   bit-identically to direct plan evaluation.
 //! * **Plan-cache persistence** — plans survive across batches (hits
-//!   accumulate), and a deliberately tiny cache evicts without ever
-//!   changing an answer.
+//!   accumulate), every evaluated request is one plan lookup, and a
+//!   deliberately tiny cache evicts without ever changing an answer.
 //! * **Telemetry invariance** — serving with the telemetry plane on vs
 //!   off changes only the response envelope (trace ids, `phases_us`),
 //!   never a result bit.
@@ -38,6 +38,7 @@
 use archline_core::plan::PAR_THRESHOLD;
 use archline_core::power::sample_intensities;
 use archline_core::RooflinePlan;
+use archline_faults::{FaultClass, FaultPlan, FaultSpec};
 use archline_platforms::{all_platforms, Precision};
 use archline_serve::protocol::MAX_WIRE_POINTS;
 use archline_serve::{
@@ -244,8 +245,8 @@ fn windowed_packed_serving_is_bit_identical_to_unbatched() {
         assert_sweep_matches_plan(r, answer);
     }
 
-    // One shard forces every plan group through the same worker and
-    // packed columns; the queued workload fills wide batches.
+    // One shard forces every plan through the same worker and intern
+    // table; the queued workload fills wide batches.
     let wide = ServeConfig { shards: 1, max_batch: 64, ..ServeConfig::default() };
     let (batched, after) = serve_all(wide, &reqs);
     assert_coalesced(&after);
@@ -322,6 +323,15 @@ fn windowed_serving_actually_coalesces() {
         assert!(result.is_ok(), "request {id}: {result:?}");
     }
     assert_coalesced(&after);
+    // Accounting identity: every evaluated request is one plan lookup, the
+    // busy head included, however the requests shared batches.
+    let stats = after.stats();
+    let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(
+        load(&stats.plan_cache_hits) + load(&stats.plan_cache_misses),
+        129,
+        "128 requests plus the head, one plan lookup each"
+    );
 }
 
 #[test]
@@ -338,9 +348,9 @@ fn deadlines_are_honored_at_window_boundaries() {
 
 #[test]
 fn many_distinct_plans_in_one_batch_answer_correctly() {
-    // The O(n²) group-by regression shape: every request in the batch
-    // carries its own plan key (distinct throttle factors), all on one
-    // shard. Answers must match direct plan evaluation bit-for-bit.
+    // Every request in the batch carries its own plan key (distinct
+    // throttle factors), all on one shard. Answers must match direct plan
+    // evaluation bit-for-bit.
     let n = 100u64;
     let params = all_platforms()
         .into_iter()
@@ -508,4 +518,55 @@ fn a_poisoned_sweep_fails_alone_and_its_batchmates_answer() {
         }
         assert_sweep_matches_plan(&reqs[2], &answers[2].1);
     }
+}
+
+#[test]
+fn a_sabotaged_eval_fails_alone_and_its_batchmates_answer() {
+    // Chaos mode drops every one of the platform's eval results, so the
+    // eval fails verification. Queued behind the busy head on the same
+    // plan, a sweep and a crossover (never injected) must still answer,
+    // bit-identically to one-request batches; the breaker trips at two
+    // consecutive failures, so it would open if a batchmate failed too.
+    let reqs = vec![
+        req(1, "NUC CPU", eval_query(16, 1.0)),
+        req(2, "NUC CPU", Query::Sweep {
+            metric: SweepMetric::EnergyEff,
+            lo: 0.1,
+            hi: 10.0,
+            points: 64,
+        }),
+        req(3, "NUC CPU", Query::Crossover {
+            other: "GTX 680".to_string(),
+            metric: SweepMetric::EnergyEff,
+            lo: 0.01,
+            hi: 1e4,
+            grid: 128,
+        }),
+    ];
+    let config = ServeConfig {
+        shards: 1,
+        breaker_trip: 2,
+        inject: vec![(
+            "NUC CPU".to_string(),
+            FaultPlan::new(vec![FaultSpec::new(FaultClass::Drop, 1.0, 7)]),
+        )],
+        ..ServeConfig::default()
+    };
+    let (answers, after) = serve_all(config.clone(), &reqs);
+    assert_coalesced(&after);
+    let want =
+        Err(Reject::Internal("injected corruption changed the result count (16 -> 0)".to_string()));
+    assert_eq!(answers[0].1, want, "the sabotaged eval gets a typed internal answer");
+    let stats = after.stats();
+    let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(load(&stats.failed), 1, "one sabotaged eval, one failure");
+    assert_eq!(load(&stats.panics_caught), 0, "verification fails typed, not by panic");
+    assert_eq!(after.breaker_state(0), BreakerState::Closed, "one failure does not trip the breaker");
+
+    let (reference, _) = serve_all(ServeConfig { max_batch: 1, ..config }, &reqs);
+    assert_eq!(reference[0].1, want);
+    for ((id, a), (_, b)) in answers.iter().zip(&reference).skip(1) {
+        assert_bits_equal(*id, a, b);
+    }
+    assert_sweep_matches_plan(&reqs[1], &answers[1].1);
 }
