@@ -191,10 +191,6 @@ struct ClosedLoop {
     latency_p50_us: f64,
     latency_p99_us: f64,
     mean_batch_occupancy: f64,
-    plan_cache_hits: u64,
-    plan_cache_misses: u64,
-    plan_cache_evictions: u64,
-    plan_cache_hit_rate: f64,
     phases: Option<PhaseBreakdown>,
 }
 
@@ -269,7 +265,6 @@ fn serve_closed_loop(clients: usize, depth: usize, queries_per_client: usize) ->
     let stats = after.stats();
     latencies.sort_unstable();
     let pct = |p: f64| latencies[((latencies.len() - 1) as f64 * p) as usize] as f64;
-    let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
     ClosedLoop {
         clients,
         depth,
@@ -278,10 +273,6 @@ fn serve_closed_loop(clients: usize, depth: usize, queries_per_client: usize) ->
         latency_p50_us: pct(0.50),
         latency_p99_us: pct(0.99),
         mean_batch_occupancy: stats.mean_batch_occupancy(),
-        plan_cache_hits: load(&stats.plan_cache_hits),
-        plan_cache_misses: load(&stats.plan_cache_misses),
-        plan_cache_evictions: load(&stats.plan_cache_evictions),
-        plan_cache_hit_rate: stats.plan_cache_hit_rate(),
         phases: PhaseBreakdown::from_samples(&phase_samples),
     }
 }
@@ -713,12 +704,6 @@ fn main() {
         }
         let _ = writeln!(json, "    }},");
     }
-    let _ = writeln!(json, "    \"plan_cache\": {{");
-    let _ = writeln!(json, "      \"hits\": {},", h.plan_cache_hits);
-    let _ = writeln!(json, "      \"misses\": {},", h.plan_cache_misses);
-    let _ = writeln!(json, "      \"evictions\": {},", h.plan_cache_evictions);
-    let _ = writeln!(json, "      \"hit_rate\": {:.6}", h.plan_cache_hit_rate);
-    let _ = writeln!(json, "    }},");
     let d1 = &serve.depth1;
     let _ = writeln!(json, "    \"closed_loop_depth1\": {{");
     let _ = writeln!(json, "      \"clients\": {},", d1.clients);

@@ -24,7 +24,7 @@
 ///   depth-1 run is kept as `closed_loop_depth1` for continuity with v4,
 ///   an `open_loop` arrival-rate sweep records offered vs achieved qps,
 ///   occupancy, and p99 per rate, and `plan_cache` records hit/miss/
-///   eviction counts plus the hit rate.
+///   eviction counts plus the hit rate (dropped in v8).
 /// * v6: the headline closed-loop run gains a `phases_us` object — p50/p99
 ///   of the telemetry plane's per-phase latency decomposition (queue-wait,
 ///   window-hold, kernel, total) as reported on the responses' `phases_us`
@@ -33,7 +33,9 @@
 /// * v7: the serve engine no longer holds batches open, so the headline
 ///   drops its hold count, and its `window` phase now measures batch
 ///   assembly (pickup to dispatch) rather than a hold.
-pub const BENCH_SCHEMA_VERSION: u64 = 7;
+/// * v8: the serve section drops the `plan_cache` block — the engine
+///   compiles each request's plan once at admission and keeps no cache.
+pub const BENCH_SCHEMA_VERSION: u64 = 8;
 
 /// Inspects a prior `BENCH_model.json` about to be replaced and returns a
 /// human-readable warning when it predates `current` (or does not parse) —

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! archline-serve [--addr HOST:PORT] [--shards N] [--queue-bound N]
-//!                [--deadline-ms N] [--max-batch N] [--plan-cache N]
+//!                [--deadline-ms N] [--max-batch N]
 //!                [--metrics on|off] [--flight-recorder PATH[:CAP]]
 //!                [--inject 'PLATFORM:CLASS:SEVERITY[:SEED]']...
 //!                [--allow-shutdown] [-q] [-v[v]] [--trace-out PATH]
@@ -40,7 +40,7 @@ fn usage(error: &str) -> ! {
     }
     eprintln!(
         "usage: archline-serve [--addr HOST:PORT] [--shards N] [--queue-bound N] \
-         [--deadline-ms N] [--max-batch N] [--plan-cache N] \
+         [--deadline-ms N] [--max-batch N] \
          [--metrics on|off] [--flight-recorder PATH[:CAP]] \
          [--inject 'PLATFORM:CLASS:SEVERITY[:SEED]'] [--allow-shutdown] \
          [-q] [-v[v]] [--trace-out PATH]"
@@ -95,7 +95,6 @@ fn main() {
             "--deadline-ms" => {
                 config.deadline = Duration::from_millis(next_usize(&mut it, "--deadline-ms") as u64)
             }
-            "--plan-cache" => config.plan_cache_cap = next_usize(&mut it, "--plan-cache"),
             "--metrics" => match it.next().map(|v| ServeConfig::parse_toggle(v)) {
                 Some(Some(on)) => config.telemetry = on,
                 _ => usage("--metrics needs `on` or `off`"),

@@ -6,8 +6,8 @@
 //!
 //! Each tick opens a connection, sends `{"op":"stats"}` and
 //! `{"op":"metrics"}`, and renders: uptime, qps (completed delta over the
-//! tick), shed rate, occupancy, plan-cache hit rate, per-shard breaker
-//! state + live queue depth, and per-phase p50/p99 from
+//! tick), shed rate, occupancy, per-shard breaker state + live queue
+//! depth, and per-phase p50/p99 from
 //! the `serve.phase.*` histograms (reconstructed from the metrics op's
 //! JSON buckets through the obs quantile estimator).
 //!
@@ -140,9 +140,8 @@ fn render(addr: &str, s: &Scrape, qps: f64, shed_rate: f64, clear: bool) {
     let uptime = get_f64(&s.stats, "uptime_s");
     println!("archline-top — {addr}   up {uptime:.0}s");
     println!(
-        "qps {qps:>8.1}   shed/s {shed_rate:>7.1}   occupancy {:>5.2}   plan-cache hit {:>5.1}%",
+        "qps {qps:>8.1}   shed/s {shed_rate:>7.1}   occupancy {:>5.2}",
         get_f64(&s.stats, "mean_batch_occupancy"),
-        100.0 * get_f64(&s.stats, "plan_cache_hit_rate"),
     );
     println!(
         "accepted {}   completed {}   shed {}   failed {}   expired {}   panics {}",

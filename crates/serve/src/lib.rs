@@ -3,21 +3,23 @@
 //! A long-running, concurrent query engine over the energy-roofline model:
 //! clients ask "time/energy/power of `(W, Q)` on platform X" — as point
 //! evaluations, metric sweeps, crossover searches, or what-if cap changes —
-//! and the server answers out of interned [`RooflinePlan`]s with the SoA
-//! batch kernels.
+//! and the server answers with the SoA batch kernels of a [`RooflinePlan`]
+//! compiled for each request at admission.
 //!
 //! A batch is whatever the shard queue holds: a worker blocks for one
 //! request, drains the rest of its queue (up to
 //! [`ServeConfig::max_batch`]), and evaluates at once. It never holds a
 //! batch open waiting for more, so pipelined load coalesces from queue
-//! depth while a lone request pays no wait. Plans persist across batches
-//! in a per-worker LRU intern table (`ARCHLINE_SERVE_PLAN_CACHE`). Within
-//! a batch every request is evaluated on its own and answered as soon as
-//! it is computed: the model is pointwise, so packing requests into shared
-//! kernel passes would save no arithmetic, only copies. An eval is one
-//! fused batch-kernel pass written straight into its answer columns; a
-//! sweep is one [`RooflinePlan::sweep`] pass that builds its grid and
-//! evaluates its metric together, in parallel chunks when large.
+//! depth while a lone request pays no wait. A plan is a few divisions over
+//! six constants, so no cache holds them: admission compiles each
+//! request's plan, and a what-if override the model rejects is a typed
+//! [`Reject::BadRequest`] before any worker sees it. Within a batch every
+//! request is evaluated on its own and answered as soon as it is computed:
+//! the model is pointwise, so packing requests into shared kernel passes
+//! would save no arithmetic, only copies. An eval is one fused
+//! batch-kernel pass written straight into its answer columns; a sweep is
+//! one [`RooflinePlan::sweep`] pass that builds its grid and evaluates its
+//! metric together, in parallel chunks when large.
 //!
 //! Two front doors share one engine:
 //!

@@ -1,13 +1,14 @@
-//! The query engine: sharded workers over interned [`RooflinePlan`]s with
+//! The query engine: sharded workers over [`RooflinePlan`]s with
 //! admission control, deadlines, circuit breakers, and drain-on-shutdown.
 //!
-//! Requests are admitted on the caller's thread (resolve + validate +
-//! breaker check + bounded `try_send`), then a shard worker drains its
-//! queue into a batch, answers the expired requests, and evaluates each
-//! live one on its own — one kernel pass and one panic guard per request,
-//! answered as soon as it is computed. Plans are interned per worker keyed
-//! by the [`MachineParams`]-bits hash that also picks the shard, so a
-//! platform's queries always meet a warm plan.
+//! Requests are admitted on the caller's thread (validate + resolve +
+//! compile the plan + breaker check + bounded `try_send`), then a shard
+//! worker drains its queue into a batch, answers the expired requests, and
+//! evaluates each live one on its own — one kernel pass and one panic
+//! guard per request, answered as soon as it is computed. A plan is a few
+//! divisions over six constants, so each request carries its own, compiled
+//! once at admission: a parameter set the model rejects is a typed
+//! `bad_request` there and never reaches a worker.
 //!
 //! [`RooflinePlan`]: archline_core::RooflinePlan
 
@@ -101,8 +102,6 @@ pub struct ServeConfig {
     pub breaker_trip: u32,
     /// Time a tripped breaker stays open before a half-open probe.
     pub breaker_cooldown: Duration,
-    /// Per-worker plan intern table capacity (LRU past it). Minimum 1.
-    pub plan_cache_cap: usize,
     /// Chaos mode: corrupt these platforms' evaluation results with the
     /// given fault plans before validation (the `--inject` flag).
     pub inject: Vec<(String, FaultPlan)>,
@@ -128,7 +127,6 @@ impl Default for ServeConfig {
             max_points: crate::protocol::MAX_WIRE_POINTS,
             breaker_trip: 5,
             breaker_cooldown: Duration::from_millis(100),
-            plan_cache_cap: 32,
             inject: Vec::new(),
             seed: 0,
             telemetry: true,
@@ -140,7 +138,7 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Defaults with `ARCHLINE_SERVE_SHARDS`, `ARCHLINE_SERVE_QUEUE`,
     /// `ARCHLINE_SERVE_DEADLINE_MS`, `ARCHLINE_SERVE_MAX_BATCH`,
-    /// `ARCHLINE_SERVE_PLAN_CACHE`, `ARCHLINE_SERVE_BREAKER_TRIP`, and
+    /// `ARCHLINE_SERVE_BREAKER_TRIP`, and
     /// `ARCHLINE_SERVE_BREAKER_COOLDOWN_MS` applied where set and
     /// parseable (unparseable values are ignored, not fatal — a service
     /// should come up under a typo'd environment).
@@ -160,9 +158,6 @@ impl ServeConfig {
         }
         if let Some(v) = env_u64("ARCHLINE_SERVE_MAX_BATCH") {
             cfg.max_batch = (v as usize).max(1);
-        }
-        if let Some(v) = env_u64("ARCHLINE_SERVE_PLAN_CACHE") {
-            cfg.plan_cache_cap = (v as usize).max(1);
         }
         if let Some(v) = env_u64("ARCHLINE_SERVE_BREAKER_TRIP") {
             cfg.breaker_trip = v as u32;
@@ -226,12 +221,12 @@ pub struct ServeStats {
     pub batches: AtomicU64,
     /// Requests across all executed batches (occupancy numerator).
     pub batched_requests: AtomicU64,
-    /// Plan lookups answered from a per-worker intern table.
+    /// Always 0: each request's plan is compiled once at admission, so
+    /// there is no plan cache to hit. Kept, like `retries`, so readers of
+    /// this field still compile; not exposed on the wire.
     pub plan_cache_hits: AtomicU64,
-    /// Plan lookups that had to compile a fresh plan.
+    /// Always 0, for the same reason as `plan_cache_hits`.
     pub plan_cache_misses: AtomicU64,
-    /// Plans evicted from a full per-worker intern table.
-    pub plan_cache_evictions: AtomicU64,
 }
 
 impl ServeStats {
@@ -244,8 +239,8 @@ impl ServeStats {
     /// Every exposed counter as `(exposition name, value)`. The `metrics`
     /// op publishes these names as-is (`serve.accepted` scrapes as
     /// `serve_accepted`); the `stats` op keys them without the `serve.`
-    /// prefix, dots turned to underscores (`accepted`, `plan_cache_hit`).
-    pub fn table(&self) -> [(&'static str, u64); 11] {
+    /// prefix (`accepted`, `bad_request`).
+    pub fn table(&self) -> [(&'static str, u64); 8] {
         // ordering: Relaxed — observational snapshot of statistics.
         let v = |c: &AtomicU64| c.load(Ordering::Relaxed);
         [
@@ -257,9 +252,6 @@ impl ServeStats {
             ("serve.completed", v(&self.completed)),
             ("serve.failed", v(&self.failed)),
             ("serve.panics_caught", v(&self.panics_caught)),
-            ("serve.plan_cache.hit", v(&self.plan_cache_hits)),
-            ("serve.plan_cache.miss", v(&self.plan_cache_misses)),
-            ("serve.plan_cache.evict", v(&self.plan_cache_evictions)),
         ]
     }
 
@@ -274,27 +266,12 @@ impl ServeStats {
             self.batched_requests.load(Ordering::Relaxed) as f64 / b as f64
         }
     }
-
-    /// Fraction of plan lookups served from the per-worker intern tables
-    /// (0 when no lookup ran yet).
-    pub fn plan_cache_hit_rate(&self) -> f64 {
-        // ordering: Relaxed — observational statistic reads; the ratio is
-        // approximate by nature while workers are running.
-        let h = self.plan_cache_hits.load(Ordering::Relaxed);
-        let m = self.plan_cache_misses.load(Ordering::Relaxed);
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
-    }
 }
 
-/// One queued request, resolved at admission.
+/// One queued request, resolved and compiled at admission.
 struct Pending {
     id: u64,
-    plan_key: u64,
-    params: MachineParams,
+    plan: RooflinePlan,
     platform: String,
     other_params: Option<MachineParams>,
     query: Query,
@@ -430,9 +407,10 @@ fn flight_incident(inner: &Inner, reason: &str) {
     }
 }
 
-/// FNV-1a over the parameter bits: equal params always co-locate (and
-/// re-use one interned plan); the cap arm is folded in so a what-if cap
-/// override never collides with the base platform entry.
+/// FNV-1a over the parameter bits, used only to pick the shard: equal
+/// params always co-locate, so a platform's failures trip only its own
+/// shard's breaker; the cap arm is folded in so a what-if cap override
+/// hashes apart from the base platform entry.
 fn params_key(p: &MachineParams) -> u64 {
     const OFFSET: u64 = 0xcbf29ce484222325;
     const PRIME: u64 = 0x100000001b3;
@@ -670,8 +648,8 @@ impl ServeHandle {
     /// rejection its resolution would produce. Lets tests pick platforms
     /// on distinct shards.
     pub fn shard_of(&self, req: &Request) -> Result<usize, Reject> {
-        let params = self.resolve(req)?;
-        Ok((params_key(&params) % self.inner.config.shards as u64) as usize)
+        let plan = self.resolve(&req.platform, req.double_precision, req.cap)?;
+        Ok((params_key(plan.params()) % self.inner.config.shards as u64) as usize)
     }
 
     /// Still accepting new work?
@@ -699,19 +677,26 @@ impl ServeHandle {
         self.submit(req).wait()
     }
 
-    /// Resolves platform + precision + cap override into model
-    /// parameters, or the `BadRequest` naming what failed.
-    fn resolve(&self, req: &Request) -> Result<MachineParams, Reject> {
-        let platform = self
+    /// Resolves platform + precision + cap override into model parameters
+    /// and compiles their plan, or the `BadRequest` naming what failed —
+    /// including a parameter the override pushed out of the model's range
+    /// (a tiny throttle makes `Δπ/k` infinite).
+    fn resolve(
+        &self,
+        platform: &str,
+        double_precision: bool,
+        cap: Option<CapOverride>,
+    ) -> Result<RooflinePlan, Reject> {
+        let entry = self
             .inner
             .catalog
-            .get(&req.platform)
-            .ok_or_else(|| Reject::BadRequest(format!("unknown platform `{}`", req.platform)))?;
-        let precision = if req.double_precision { Precision::Double } else { Precision::Single };
-        let params = platform.machine_params(precision).map_err(|e| {
-            Reject::BadRequest(format!("`{}` has no {precision:?} model: {e}", req.platform))
+            .get(platform)
+            .ok_or_else(|| Reject::BadRequest(format!("unknown platform `{platform}`")))?;
+        let precision = if double_precision { Precision::Double } else { Precision::Single };
+        let params = entry.machine_params(precision).map_err(|e| {
+            Reject::BadRequest(format!("`{platform}` has no {precision:?} model: {e}"))
         })?;
-        Ok(match req.cap {
+        let params = match cap {
             None => params,
             Some(CapOverride::Uncapped) => params.uncapped(),
             Some(CapOverride::Throttle(k)) => {
@@ -720,17 +705,15 @@ impl ServeHandle {
                 }
                 params.throttled(k)
             }
-            Some(CapOverride::Watts(w)) => {
-                if !(w.is_finite() && w > 0.0) {
-                    return Err(Reject::BadRequest(format!("cap watts must be > 0, got {w}")));
-                }
-                MachineParams { cap: PowerCap::Capped(w), ..params }
-            }
-        })
+            Some(CapOverride::Watts(w)) => MachineParams { cap: PowerCap::Capped(w), ..params },
+        };
+        RooflinePlan::try_new(params)
+            .map_err(|e| Reject::BadRequest(format!("invalid model for `{platform}`: {e}")))
     }
 
-    /// The admission path: validate, resolve, breaker-check, bounded
-    /// enqueue. Runs on the caller's thread; never blocks on a queue.
+    /// The admission path: validate, resolve and compile the plan,
+    /// breaker-check, bounded enqueue. Runs on the caller's thread; never
+    /// blocks on a queue.
     ///
     /// The `Err` payload is the full rejection `Response` (envelope fields
     /// included), handed straight to the reply channel by the one caller —
@@ -758,33 +741,23 @@ impl ServeHandle {
             ServeStats::bump(&inner.stats.bad_request);
             return Err(Response::reject(id, reject).with_trace(req.trace));
         }
-        let params = match self.resolve(&req) {
-            Ok(p) => p,
+        let resolved = self.resolve(&req.platform, req.double_precision, req.cap).and_then(|plan| {
+            let other = match &req.query {
+                Query::Crossover { other, .. } => {
+                    Some(*self.resolve(other, req.double_precision, None)?.params())
+                }
+                _ => None,
+            };
+            Ok((plan, other))
+        });
+        let (plan, other_params) = match resolved {
+            Ok(r) => r,
             Err(reject) => {
                 ServeStats::bump(&inner.stats.bad_request);
                 return Err(Response::reject(id, reject).with_trace(req.trace));
             }
         };
-        let other_params = match &req.query {
-            Query::Crossover { other, .. } => {
-                let other_req = Request {
-                    platform: other.clone(),
-                    cap: None,
-                    query: req.query.clone(),
-                    ..req.clone()
-                };
-                match self.resolve(&other_req) {
-                    Ok(p) => Some(p),
-                    Err(reject) => {
-                        ServeStats::bump(&inner.stats.bad_request);
-                        return Err(Response::reject(id, reject).with_trace(req.trace));
-                    }
-                }
-            }
-            _ => None,
-        };
-        let plan_key = params_key(&params);
-        let shard_idx = (plan_key % inner.config.shards as u64) as usize;
+        let shard_idx = (params_key(plan.params()) % inner.config.shards as u64) as usize;
         let shard = &inner.shards[shard_idx];
         if !shard.breaker.admit() {
             ServeStats::bump(&inner.stats.breaker_rejected);
@@ -810,8 +783,7 @@ impl ServeHandle {
             now + req.deadline_ms.map(Duration::from_millis).unwrap_or(inner.config.deadline);
         let pending = Pending {
             id,
-            plan_key,
-            params,
+            plan,
             platform: req.platform,
             other_params,
             query: req.query,
@@ -948,45 +920,6 @@ fn respond(inner: &Inner, p: &Pending, result: Result<QueryResult, Reject>) {
     let _ = p.reply.send(Response { id: p.id, trace: p.trace, phases, result });
 }
 
-/// Per-worker interned plans, most-recently-used first. A linear scan
-/// beats a hash map at serving sizes (a shard rarely hosts more than a
-/// few dozen distinct parameter sets), and `RooflinePlan` is `Copy`, so a
-/// hit is a memcpy — no per-batch `RooflinePlan::new` rebuild.
-struct PlanCache {
-    cap: usize,
-    entries: Vec<(u64, RooflinePlan)>,
-}
-
-impl PlanCache {
-    fn new(cap: usize) -> Self {
-        Self { cap: cap.max(1), entries: Vec::new() }
-    }
-
-    /// The interned plan for `key`, compiling (and evicting the
-    /// least-recently-used entry past capacity) on miss.
-    fn plan(&mut self, stats: &ServeStats, key: u64, params: &MachineParams) -> RooflinePlan {
-        if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
-            // Move-to-front keeps the scan short for hot plans and makes
-            // the tail the LRU eviction candidate.
-            self.entries[..=i].rotate_right(1);
-            ServeStats::bump(&stats.plan_cache_hits);
-        } else {
-            if self.entries.len() >= self.cap {
-                self.entries.pop();
-                ServeStats::bump(&stats.plan_cache_evictions);
-            }
-            self.entries.insert(0, (key, RooflinePlan::new(*params)));
-            ServeStats::bump(&stats.plan_cache_misses);
-        }
-        match self.entries.first() {
-            Some((_, plan)) => *plan,
-            // Unreachable (an entry was just inserted or rotated to the
-            // front), but recompiling beats panicking in a worker.
-            None => RooflinePlan::new(*params),
-        }
-    }
-}
-
 /// Drains whatever is already queued, up to `max_batch`. Returns `false`
 /// when the channel disconnected (all senders dropped: shutdown) — the
 /// caller finishes the batch in hand, then exits.
@@ -1006,7 +939,6 @@ fn drain_queued(rx: &Receiver<Pending>, batch: &mut Vec<Pending>, max_batch: usi
 }
 
 fn worker_loop(inner: Arc<Inner>, shard_idx: usize, rx: Receiver<Pending>) {
-    let mut plans = PlanCache::new(inner.config.plan_cache_cap);
     let mut connected = true;
     while connected {
         // Block for work; a disconnect means every sender is gone
@@ -1021,12 +953,12 @@ fn worker_loop(inner: Arc<Inner>, shard_idx: usize, rx: Receiver<Pending>) {
         let mut batch = vec![first];
         connected = drain_queued(&rx, &mut batch, inner.config.max_batch);
         inner.shards[shard_idx].depth.adjust_owned(-(batch.len() as i64));
-        process_batch(&inner, shard_idx, batch, &mut plans);
+        process_batch(&inner, shard_idx, batch);
     }
     obs::debug!("serve", "serve: shard {shard_idx} drained");
 }
 
-fn process_batch(inner: &Inner, shard_idx: usize, batch: Vec<Pending>, plans: &mut PlanCache) {
+fn process_batch(inner: &Inner, shard_idx: usize, batch: Vec<Pending>) {
     let _span = obs::span_with(
         obs::Level::Debug,
         "serve",
@@ -1049,16 +981,16 @@ fn process_batch(inner: &Inner, shard_idx: usize, batch: Vec<Pending>, plans: &m
         respond(inner, &p, Err(Reject::DeadlineExceeded));
     }
 
-    // Each live request is evaluated on its own interned plan, under its own
-    // panic guard, and answered at once: the model is pointwise, so packing
-    // requests into shared kernel passes would save no arithmetic.
+    // Each live request is evaluated on the plan compiled at its admission,
+    // under its own panic guard, and answered at once: the model is
+    // pointwise, so packing requests into shared kernel passes would save no
+    // arithmetic.
     let breaker = &inner.shards[shard_idx].breaker;
     for mut p in live {
         // End of the window phase (batch assembly): one stamp for the whole
         // batch — the partition instant.
         p.dispatched = Some(now);
-        let plan = plans.plan(&inner.stats, p.plan_key, &p.params);
-        match guarded(inner, || evaluate(inner, &plan, &p)).and_then(|r| r) {
+        match guarded(inner, || evaluate(inner, &p)).and_then(|r| r) {
             Ok(result) => {
                 breaker.on_success();
                 respond(inner, &p, Ok(result));
@@ -1115,15 +1047,16 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// One request's kernel pass on its interned plan; `Err` fails this
-/// request only.
+/// One request's kernel pass on its own plan; `Err` fails this request
+/// only.
 ///
 /// An eval is one fused [`RooflinePlan::evaluate_batch`] written straight
 /// into its answer columns. A sweep is one [`RooflinePlan::sweep`] call,
 /// which builds its grid and evaluates its metric in the same pass
 /// (parallel above the kernel threshold). A crossover runs its own grid
 /// search.
-fn evaluate(inner: &Inner, plan: &RooflinePlan, p: &Pending) -> Result<QueryResult, String> {
+fn evaluate(inner: &Inner, p: &Pending) -> Result<QueryResult, String> {
+    let plan = &p.plan;
     match &p.query {
         Query::Eval { flops, bytes } => {
             let n = flops.len();
@@ -1145,7 +1078,7 @@ fn evaluate(inner: &Inner, plan: &RooflinePlan, p: &Pending) -> Result<QueryResu
             let other = p.other_params.ok_or_else(|| {
                 "internal: crossover admitted without resolved comparison params".to_string()
             })?;
-            let a = EnergyRoofline::new(p.params);
+            let a = EnergyRoofline::new(*plan.params());
             let b = EnergyRoofline::new(other);
             let crossings = crossovers(&a, &b, core_metric(*metric), *lo, *hi, *grid)
                 .into_iter()
@@ -1285,6 +1218,27 @@ mod tests {
     }
 
     #[test]
+    fn an_invalid_what_if_plan_is_a_typed_bad_request_and_its_shard_keeps_serving() {
+        // A finite, positive throttle that still breaks the model: Δπ/k
+        // overflows to infinity. Compiling that plan must fail at admission,
+        // typed, not panic a shard worker outside its guard.
+        let server = Server::start(ServeConfig { shards: 1, ..Default::default() }).unwrap();
+        let handle = server.handle();
+        let mut req = eval_req(1, "Desktop CPU", 4);
+        req.cap = Some(CapOverride::Throttle(1e-307));
+        let resp = handle.query(req);
+        match resp.result {
+            Err(Reject::BadRequest(msg)) => assert!(msg.contains("delta_pi"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(handle.stats().bad_request.load(Ordering::Relaxed), 1);
+        assert_eq!(handle.stats().accepted.load(Ordering::Relaxed), 0);
+        let ok = handle.query(eval_req(2, "Desktop CPU", 4));
+        assert!(ok.result.is_ok(), "{ok:?}");
+        server.shutdown();
+    }
+
+    #[test]
     fn poisoned_sweep_degrades_to_typed_internal_and_server_keeps_serving() {
         let server = Server::start(ServeConfig::default()).unwrap();
         let handle = server.handle();
@@ -1384,34 +1338,5 @@ mod tests {
         assert_eq!(params_key(&p), params_key(&p.clone()));
         assert_ne!(params_key(&p), params_key(&p.uncapped()));
         assert_ne!(params_key(&p), params_key(&p.throttled(2.0)));
-    }
-
-    #[test]
-    fn plan_cache_interns_promotes_and_evicts_lru() {
-        let stats = ServeStats::default();
-        let mut cache = PlanCache::new(2);
-        let base = all_platforms()[0].machine_params(Precision::Single).unwrap();
-        let a = base;
-        let b = base.throttled(2.0);
-        let c = base.throttled(4.0);
-        let (ka, kb, kc) = (params_key(&a), params_key(&b), params_key(&c));
-        cache.plan(&stats, ka, &a); // miss            -> [a]
-        cache.plan(&stats, kb, &b); // miss, full      -> [b, a]
-        cache.plan(&stats, ka, &a); // hit, promotes   -> [a, b]
-        cache.plan(&stats, kc, &c); // miss, evicts b  -> [c, a]
-        cache.plan(&stats, ka, &a); // hit             -> [a, c]
-        cache.plan(&stats, kb, &b); // miss, evicts c  -> [b, a]
-        assert_eq!(stats.plan_cache_misses.load(Ordering::Relaxed), 4);
-        assert_eq!(stats.plan_cache_evictions.load(Ordering::Relaxed), 2);
-        assert_eq!(stats.plan_cache_hits.load(Ordering::Relaxed), 2);
-        assert!(cache.entries.len() <= 2);
-        // A lookup answers with the same plan bits a fresh compile does.
-        let cached = cache.plan(&stats, kc, &c);
-        let fresh = RooflinePlan::new(c);
-        let (t0, e0, p0, _) = cached.evaluate(1e9, 2e8);
-        let (t1, e1, p1, _) = fresh.evaluate(1e9, 2e8);
-        assert_eq!(t0.to_bits(), t1.to_bits());
-        assert_eq!(e0.to_bits(), e1.to_bits());
-        assert_eq!(p0.to_bits(), p1.to_bits());
     }
 }

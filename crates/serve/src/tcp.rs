@@ -181,14 +181,8 @@ fn control_line(kind: &str, extra: impl IntoIterator<Item = (String, Value)>) ->
     serde_json::to_string(&Value::Object(obj)).unwrap_or_default()
 }
 
-/// The `stats` op's key for a counter's exposition name:
-/// `serve.plan_cache.hit` → `plan_cache_hit`.
-fn stats_key(name: &str) -> String {
-    name.trim_start_matches("serve.").replace('.', "_")
-}
-
 /// The `{"op":"stats"}` answer: this engine's [`ServeStats::table`]
-/// counters plus derived ratios and per-shard state.
+/// counters plus uptime, mean batch occupancy and per-shard state.
 ///
 /// [`ServeStats::table`]: crate::ServeStats::table
 fn stats_line(handle: &ServeHandle) -> String {
@@ -198,11 +192,11 @@ fn stats_line(handle: &ServeHandle) -> String {
     let derived = [
         ("uptime_s", Value::from(handle.uptime().as_secs_f64())),
         ("mean_batch_occupancy", Value::from(s.mean_batch_occupancy())),
-        ("plan_cache_hit_rate", Value::from(s.plan_cache_hit_rate())),
         ("queue_depths", per_shard(&|i| Value::from(handle.shard_depth(i)))),
         ("breakers", per_shard(&|i| Value::from(handle.breaker_state(i).name()))),
     ];
-    let counters = s.table().map(|(name, v)| (stats_key(name), Value::from(v)));
+    let counters =
+        s.table().map(|(name, v)| (name.trim_start_matches("serve.").to_string(), Value::from(v)));
     control_line("stats", counters.into_iter().chain(derived.map(|(k, v)| (k.to_string(), v))))
 }
 

@@ -1,6 +1,6 @@
-//! Batching-invariance property suite: queue-depth batching and
-//! per-worker plan caching must be *invisible* in the answers. Every
-//! request in a batch is evaluated on its own, under its own panic guard.
+//! Batching-invariance property suite: queue-depth batching must be
+//! *invisible* in the answers. Every request in a batch is evaluated on
+//! the plan compiled at its admission, under its own panic guard.
 //!
 //! A worker never holds a batch open; it dispatches whatever its queue
 //! holds. So every multi-request case first submits a busy head request
@@ -11,7 +11,7 @@
 //!
 //! * **Bit-identity vs `max_batch = 1`** — the same workload served by a
 //!   strict one-request-per-batch engine and by a wide engine (batches
-//!   coalesced across requests, plans shared through the intern table)
+//!   coalesced across requests, each on the plan compiled at admission)
 //!   produces byte-for-byte identical answers, for every query kind:
 //!   point evals, all three sweep metrics (small grids and, per metric, one
 //!   grid on the parallel side of `PAR_THRESHOLD`), crossovers, and
@@ -26,11 +26,10 @@
 //! * **Deadlines** — an already-expired request is answered with a typed
 //!   `DeadlineExceeded` at the batch boundary.
 //! * **Many plans in one batch** — a batch where every request carries a
-//!   distinct plan key still answers every request correctly and
+//!   distinct plan still answers every request correctly and
 //!   bit-identically to direct plan evaluation.
-//! * **Plan-cache persistence** — plans survive across batches (hits
-//!   accumulate), every evaluated request is one plan lookup, and a
-//!   deliberately tiny cache evicts without ever changing an answer.
+//! * **Batch accounting** — every request, the busy head included, is
+//!   counted in exactly one batch however the requests shared batches.
 //! * **Telemetry invariance** — serving with the telemetry plane on vs
 //!   off changes only the response envelope (trace ids, `phases_us`),
 //!   never a result bit.
@@ -101,7 +100,7 @@ fn workload() -> Vec<Request> {
             hi: 1e4,
             grid: 128,
         }));
-        // What-if throttle: a distinct plan key on the same platform.
+        // What-if throttle: a distinct plan on the same platform.
         let mut throttled = req(next_id(), platform, eval_query(8, 1.0));
         throttled.cap = Some(CapOverride::Throttle(2.0 + pi as f64));
         reqs.push(throttled);
@@ -245,8 +244,8 @@ fn windowed_packed_serving_is_bit_identical_to_unbatched() {
         assert_sweep_matches_plan(r, answer);
     }
 
-    // One shard forces every plan through the same worker and intern
-    // table; the queued workload fills wide batches.
+    // One shard forces every plan through the same worker; the queued
+    // workload fills wide batches.
     let wide = ServeConfig { shards: 1, max_batch: 64, ..ServeConfig::default() };
     let (batched, after) = serve_all(wide, &reqs);
     assert_coalesced(&after);
@@ -323,14 +322,12 @@ fn windowed_serving_actually_coalesces() {
         assert!(result.is_ok(), "request {id}: {result:?}");
     }
     assert_coalesced(&after);
-    // Accounting identity: every evaluated request is one plan lookup, the
-    // busy head included, however the requests shared batches.
-    let stats = after.stats();
-    let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    // Accounting identity: every request is counted in exactly one batch,
+    // the busy head included, however the requests shared batches.
     assert_eq!(
-        load(&stats.plan_cache_hits) + load(&stats.plan_cache_misses),
+        after.stats().batched_requests.load(std::sync::atomic::Ordering::Relaxed),
         129,
-        "128 requests plus the head, one plan lookup each"
+        "128 requests plus the head, one batch slot each"
     );
 }
 
@@ -348,8 +345,8 @@ fn deadlines_are_honored_at_window_boundaries() {
 
 #[test]
 fn many_distinct_plans_in_one_batch_answer_correctly() {
-    // Every request in the batch carries its own plan key (distinct
-    // throttle factors), all on one shard. Answers must match direct plan
+    // Every request in the batch carries its own plan (distinct throttle
+    // factors), all on one shard. Answers must match direct plan
     // evaluation bit-for-bit.
     let n = 100u64;
     let params = all_platforms()
@@ -365,17 +362,8 @@ fn many_distinct_plans_in_one_batch_answer_correctly() {
             r
         })
         .collect();
-    let (answers, after) = serve_all(
-        ServeConfig {
-            shards: 1,
-            max_batch: 256,
-            // Far fewer slots than plans: the intern table must evict its
-            // way through the batch without changing any answer.
-            plan_cache_cap: 8,
-            ..ServeConfig::default()
-        },
-        &reqs,
-    );
+    let (answers, after) =
+        serve_all(ServeConfig { shards: 1, max_batch: 256, ..ServeConfig::default() }, &reqs);
     assert_coalesced(&after);
     for (i, (_, result)) in answers.iter().enumerate() {
         let plan = RooflinePlan::new(params.throttled(1.0 + i as f64 * 0.25));
@@ -390,31 +378,6 @@ fn many_distinct_plans_in_one_batch_answer_correctly() {
             assert_eq!(p.to_bits(), power[k].to_bits(), "request {i} point {k}: power");
         }
     }
-    let stats = after.stats();
-    let misses = stats.plan_cache_misses.load(std::sync::atomic::Ordering::Relaxed);
-    let evictions = stats.plan_cache_evictions.load(std::sync::atomic::Ordering::Relaxed);
-    assert!(misses >= n, "each distinct plan compiles at least once (misses {misses})");
-    assert!(evictions > 0, "an 8-slot cache over {n} plans must evict (evictions {evictions})");
-}
-
-#[test]
-fn plan_cache_persists_across_batches() {
-    let server =
-        Server::start(ServeConfig { shards: 1, ..ServeConfig::default() }).expect("server");
-    let handle = server.handle();
-    // Sequential queries: each lands in its own batch, so cache hits can
-    // only come from the *persistent* per-worker table — the per-batch
-    // map the cache replaced would score zero here.
-    for i in 0..10u64 {
-        assert!(handle.query(req(i + 1, "Desktop CPU", eval_query(4, 1.0))).result.is_ok());
-    }
-    let after = server.shutdown();
-    let stats = after.stats();
-    let hits = stats.plan_cache_hits.load(std::sync::atomic::Ordering::Relaxed);
-    let misses = stats.plan_cache_misses.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(misses, 1, "one plan, one compile");
-    assert_eq!(hits, 9, "every later batch reuses the interned plan");
-    assert!(stats.plan_cache_hit_rate() > 0.85);
 }
 
 #[test]
