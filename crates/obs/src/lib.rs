@@ -18,10 +18,6 @@
 //! * **A self-time profile** ([`profile`]): per-(target, name) span
 //!   statistics with self time (total minus child and wait time) and wait
 //!   time (blocked in [`span::wait`]), behind `repro --profile`.
-//! * **A flight recorder** ([`FlightRecorder`]): a fixed-capacity ring of
-//!   the most recent events, installed as a sink and dumped as JSONL only
-//!   on incident (breaker trip, caught panic, shed-rate spike) — see
-//!   [`flight`].
 //!
 //! # Determinism
 //!
@@ -45,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod flight;
 pub mod git;
 pub mod json;
 pub mod metrics;
@@ -56,7 +51,6 @@ pub mod span;
 pub mod test_support;
 
 pub use event::{field, Event, EventKind, Field, FieldValue, OwnedEvent};
-pub use flight::FlightRecorder;
 pub use git::git_revision;
 pub use metrics::{counter, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot};
 pub use profile::{profile_snapshot, render_profile, set_profiling, ProfileEntry};

@@ -3,7 +3,7 @@
 //! ```text
 //! archline-serve [--addr HOST:PORT] [--shards N] [--queue-bound N]
 //!                [--deadline-ms N] [--max-batch N]
-//!                [--metrics on|off] [--flight-recorder PATH[:CAP]]
+//!                [--metrics on|off]
 //!                [--inject 'PLATFORM:CLASS:SEVERITY[:SEED]']...
 //!                [--allow-shutdown] [-q] [-v[v]] [--trace-out PATH]
 //! ```
@@ -29,7 +29,7 @@ use archline_faults::{FaultPlan, FaultSpec};
 use archline_obs as obs;
 use archline_platforms::all_platforms;
 use archline_serve::tcp::serve_tcp;
-use archline_serve::{FlightConfig, ServeConfig, Server};
+use archline_serve::{ServeConfig, Server};
 
 const EXIT_FATAL: i32 = 1;
 const EXIT_USAGE: i32 = 2;
@@ -41,7 +41,7 @@ fn usage(error: &str) -> ! {
     eprintln!(
         "usage: archline-serve [--addr HOST:PORT] [--shards N] [--queue-bound N] \
          [--deadline-ms N] [--max-batch N] \
-         [--metrics on|off] [--flight-recorder PATH[:CAP]] \
+         [--metrics on|off] \
          [--inject 'PLATFORM:CLASS:SEVERITY[:SEED]'] [--allow-shutdown] \
          [-q] [-v[v]] [--trace-out PATH]"
     );
@@ -68,7 +68,7 @@ fn parse_inject(value: &str) -> Result<(String, FaultSpec), String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = "127.0.0.1:7878".to_string();
-    let mut config = ServeConfig::from_env();
+    let mut config = ServeConfig::default();
     let mut injections: Vec<(String, FaultSpec)> = Vec::new();
     let mut allow_shutdown = false;
     let mut quiet = false;
@@ -95,16 +95,10 @@ fn main() {
             "--deadline-ms" => {
                 config.deadline = Duration::from_millis(next_usize(&mut it, "--deadline-ms") as u64)
             }
-            "--metrics" => match it.next().map(|v| ServeConfig::parse_toggle(v)) {
-                Some(Some(on)) => config.telemetry = on,
+            "--metrics" => match it.next().map(|v| v.trim().to_ascii_lowercase()).as_deref() {
+                Some("on" | "1" | "true") => config.telemetry = true,
+                Some("off" | "0" | "false") => config.telemetry = false,
                 _ => usage("--metrics needs `on` or `off`"),
-            },
-            "--flight-recorder" => match it.next() {
-                Some(spec) => match FlightConfig::parse(spec) {
-                    Ok(f) => config.flight = Some(f),
-                    Err(e) => usage(&format!("--flight-recorder: {e}")),
-                },
-                None => usage("--flight-recorder needs PATH[:CAPACITY]"),
             },
             "--inject" => match it.next() {
                 Some(value) => match parse_inject(value) {

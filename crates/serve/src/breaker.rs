@@ -166,10 +166,8 @@ impl Breaker {
     }
 
     /// Records a failed evaluation outcome; trips Closed→Open at the
-    /// threshold and re-opens a failed half-open probe. Returns `true`
-    /// when *this* call opened the breaker (trip or reopen) — the
-    /// incident edge the flight recorder dumps on.
-    pub fn on_failure(&self) -> bool {
+    /// threshold and re-opens a failed half-open probe.
+    pub fn on_failure(&self) {
         // ordering: Relaxed — RMW atomicity gives each failure a distinct
         // count; exactly one caller observes the threshold value.
         let failures = self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
@@ -179,18 +177,15 @@ impl Breaker {
         let (from, counter) = match state {
             HALF_OPEN => (HALF_OPEN, REOPENS),
             CLOSED if failures >= self.trip_threshold => (CLOSED, TRIPS),
-            _ => return false,
+            _ => return,
         };
         // ordering: AcqRel — cold-path transition, kept totally ordered
         // with the other state edges; `opened_at` is published by its
         // mutex, not by this CAS.
-        let opened =
-            self.state.compare_exchange(from, OPEN, Ordering::AcqRel, Ordering::Acquire).is_ok();
-        if opened {
+        if self.state.compare_exchange(from, OPEN, Ordering::AcqRel, Ordering::Acquire).is_ok() {
             *self.opened_at.lock().unwrap_or_else(|e| e.into_inner()) = Some(Instant::now());
             self.transitions[counter].add_owned(1);
         }
-        opened
     }
 }
 

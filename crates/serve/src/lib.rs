@@ -55,21 +55,18 @@
 //!
 //! ## Telemetry plane
 //!
-//! With telemetry on (the default; `--metrics off` /
-//! `ARCHLINE_SERVE_METRICS=off` disables), every admitted request runs
-//! under a [`TraceId`] — client-supplied via the request's `trace` field
-//! or minted at admission — echoed on the response next to a [`Phases`]
-//! breakdown (`phases_us`: queue-wait; window, the batch assembly from
-//! pickup to dispatch; kernel; serialize; total), and the same breakdown
-//! feeds per-query-kind histograms the `{"op":"metrics"}` wire op exposes
-//! as JSON *and* Prometheus text exposition. Every serve instrument
-//! belongs to one server, so two servers in one process never count into
-//! each other. A [`FlightConfig`]-configured flight recorder
-//! (`--flight-recorder PATH[:CAP]`) keeps a ring of recent obs events and
-//! dumps it as JSONL on incident: a breaker trip, a caught worker panic,
-//! or a shed-rate spike. The answer payloads themselves are bit-identical
-//! with telemetry on or off — the envelope grows, the
-//! results do not (pinned by `tests/serve_batching.rs`).
+//! With telemetry on (the default; `--metrics off` disables), every
+//! admitted request runs under a [`TraceId`] — client-supplied via the
+//! request's `trace` field or minted at admission — echoed on the response
+//! next to a [`Phases`] breakdown (`phases_us`: queue-wait; window, the
+//! batch assembly from pickup to dispatch; kernel; serialize; total), and
+//! the same breakdown feeds per-query-kind histograms the
+//! `{"op":"metrics"}` wire op exposes as JSON *and* Prometheus text
+//! exposition. Every serve instrument belongs to one server, so two
+//! servers in one process never count into each other. The answer
+//! payloads themselves are bit-identical with telemetry on or off — the
+//! envelope grows, the results do not (pinned by
+//! `tests/serve_batching.rs`).
 //!
 //! Healthy shards answer **bit-identically** under load, batching, and
 //! co-resident sabotage: the plan kernels are elementwise and
@@ -92,4 +89,4 @@ pub use breaker::{Breaker, BreakerState};
 pub use protocol::{
     CapOverride, Phases, Query, QueryResult, Reject, Request, Response, SweepMetric, TraceId,
 };
-pub use server::{FlightConfig, ServeConfig, ServeHandle, ServeStats, Server, Ticket};
+pub use server::{ServeConfig, ServeHandle, ServeStats, Server, Ticket};

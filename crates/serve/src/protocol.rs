@@ -20,7 +20,7 @@ pub const MAX_WIRE_POINTS: usize = 1 << 20;
 /// lowercase hex digits. Either supplied by the client (`"trace":"beef"`,
 /// 1–16 hex digits, zero-extended) or minted at admission; echoed on the
 /// response either way so a client can correlate its own traces with the
-/// server's flight-recorder events.
+/// server's obs events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceId(pub u64);
 

@@ -32,60 +32,11 @@ use crate::protocol::{
 };
 use crate::telemetry;
 
-/// Flight-recorder wiring: a ring of recent obs events that
-/// [`Server::start`] installs as a sink and the engine dumps to `path`
-/// as JSONL on incident — a breaker trip, a caught worker panic, or a
-/// shed-rate spike. Dumps truncate: the latest incident wins.
-#[derive(Clone)]
-pub struct FlightConfig {
-    /// The shared ring. Installing it raises the global obs level gate
-    /// to `Debug` (the cost of being on); the disabled path is untouched.
-    pub recorder: Arc<obs::FlightRecorder>,
-    /// JSONL dump destination.
-    pub path: String,
-    /// Sheds within one second that count as a spike (clamped to ≥ 1).
-    pub shed_spike: u64,
-}
-
-impl FlightConfig {
-    /// Ring capacity when the spec names none.
-    pub const DEFAULT_CAPACITY: usize = 256;
-    /// Default one-second shed count that triggers a dump.
-    pub const DEFAULT_SHED_SPIKE: u64 = 64;
-
-    /// Parses the `--flight-recorder PATH[:CAPACITY]` /
-    /// `ARCHLINE_SERVE_FLIGHT` form.
-    pub fn parse(spec: &str) -> Result<FlightConfig, String> {
-        let (path, capacity) = match spec.rsplit_once(':') {
-            Some((p, c)) if !p.is_empty() && !c.is_empty() && c.bytes().all(|b| b.is_ascii_digit()) => {
-                (p, c.parse::<usize>().map_err(|e| format!("flight capacity `{c}`: {e}"))?)
-            }
-            _ => (spec, Self::DEFAULT_CAPACITY),
-        };
-        if path.is_empty() {
-            return Err("flight recorder path must be non-empty".to_string());
-        }
-        Ok(FlightConfig {
-            recorder: Arc::new(obs::FlightRecorder::new(capacity)),
-            path: path.to_string(),
-            shed_spike: Self::DEFAULT_SHED_SPIKE,
-        })
-    }
-}
-
-impl std::fmt::Debug for FlightConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightConfig")
-            .field("path", &self.path)
-            .field("capacity", &self.recorder.capacity())
-            .field("shed_spike", &self.shed_spike)
-            .finish()
-    }
-}
-
 /// Engine configuration. `Default` is the production setting the
-/// `archline-serve` binary starts from; [`ServeConfig::from_env`] layers
-/// `ARCHLINE_SERVE_*` overrides on top.
+/// `archline-serve` binary starts from. Its flags set `shards`,
+/// `queue_bound`, `deadline`, `max_batch`, `inject` and `telemetry`; the
+/// other fields have no flag, so the binary runs with their defaults and
+/// only in-process callers change them.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker shards (platforms hash onto these). Minimum 1.
@@ -98,9 +49,10 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Most points/grid entries accepted per request.
     pub max_points: usize,
-    /// Consecutive failures that trip a shard's breaker.
+    /// Consecutive failures that trip a shard's breaker (default 5).
     pub breaker_trip: u32,
-    /// Time a tripped breaker stays open before a half-open probe.
+    /// Time a tripped breaker stays open before a half-open probe
+    /// (default 100 ms).
     pub breaker_cooldown: Duration,
     /// Chaos mode: corrupt these platforms' evaluation results with the
     /// given fault plans before validation (the `--inject` flag).
@@ -111,10 +63,8 @@ pub struct ServeConfig {
     /// Request telemetry: mint trace ids, stamp per-phase timestamps,
     /// record the phase histograms, and attach `trace`/`phases_us` to
     /// responses. Off leaves answers bit-identical minus those envelope
-    /// fields (`--metrics off` / `ARCHLINE_SERVE_METRICS=off`).
+    /// fields (`--metrics off`).
     pub telemetry: bool,
-    /// Flight recorder (off by default; `--flight-recorder PATH[:CAP]`).
-    pub flight: Option<FlightConfig>,
 }
 
 impl Default for ServeConfig {
@@ -130,62 +80,6 @@ impl Default for ServeConfig {
             inject: Vec::new(),
             seed: 0,
             telemetry: true,
-            flight: None,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// Defaults with `ARCHLINE_SERVE_SHARDS`, `ARCHLINE_SERVE_QUEUE`,
-    /// `ARCHLINE_SERVE_DEADLINE_MS`, `ARCHLINE_SERVE_MAX_BATCH`,
-    /// `ARCHLINE_SERVE_BREAKER_TRIP`, and
-    /// `ARCHLINE_SERVE_BREAKER_COOLDOWN_MS` applied where set and
-    /// parseable (unparseable values are ignored, not fatal — a service
-    /// should come up under a typo'd environment).
-    pub fn from_env() -> Self {
-        fn env_u64(key: &str) -> Option<u64> {
-            std::env::var(key).ok()?.trim().parse().ok()
-        }
-        let mut cfg = Self::default();
-        if let Some(v) = env_u64("ARCHLINE_SERVE_SHARDS") {
-            cfg.shards = (v as usize).max(1);
-        }
-        if let Some(v) = env_u64("ARCHLINE_SERVE_QUEUE") {
-            cfg.queue_bound = (v as usize).max(1);
-        }
-        if let Some(v) = env_u64("ARCHLINE_SERVE_DEADLINE_MS") {
-            cfg.deadline = Duration::from_millis(v);
-        }
-        if let Some(v) = env_u64("ARCHLINE_SERVE_MAX_BATCH") {
-            cfg.max_batch = (v as usize).max(1);
-        }
-        if let Some(v) = env_u64("ARCHLINE_SERVE_BREAKER_TRIP") {
-            cfg.breaker_trip = v as u32;
-        }
-        if let Some(v) = env_u64("ARCHLINE_SERVE_BREAKER_COOLDOWN_MS") {
-            cfg.breaker_cooldown = Duration::from_millis(v);
-        }
-        if let Some(on) =
-            std::env::var("ARCHLINE_SERVE_METRICS").ok().and_then(|s| Self::parse_toggle(&s))
-        {
-            cfg.telemetry = on;
-        }
-        if let Some(f) = std::env::var("ARCHLINE_SERVE_FLIGHT")
-            .ok()
-            .and_then(|s| FlightConfig::parse(s.trim()).ok())
-        {
-            cfg.flight = Some(f);
-        }
-        cfg
-    }
-
-    /// Parses the `--metrics` / `ARCHLINE_SERVE_METRICS` on-off forms:
-    /// `on`/`1`/`true` and `off`/`0`/`false` (case-insensitive).
-    pub fn parse_toggle(s: &str) -> Option<bool> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "on" | "1" | "true" => Some(true),
-            "off" | "0" | "false" => Some(false),
-            _ => None,
         }
     }
 }
@@ -298,58 +192,6 @@ struct Shard {
     depth: Gauge,
 }
 
-/// Flight-recorder runtime state: the configured ring plus the spike /
-/// rate-limit bookkeeping, all clocked off the engine's start `Instant`
-/// (monotonic, no wall-clock).
-struct FlightState {
-    cfg: FlightConfig,
-    /// Microseconds-since-start of the last dump (0 = never), for rate
-    /// limiting to one dump per 250ms.
-    last_dump_us: AtomicU64,
-    /// Start (µs since engine start) of the current shed-counting window.
-    shed_window_start_us: AtomicU64,
-    /// Sheds observed in the current window.
-    shed_in_window: AtomicU64,
-}
-
-impl FlightState {
-    fn new(cfg: FlightConfig) -> Self {
-        Self {
-            cfg,
-            last_dump_us: AtomicU64::new(0),
-            shed_window_start_us: AtomicU64::new(0),
-            shed_in_window: AtomicU64::new(0),
-        }
-    }
-
-    /// Counts one shed; `true` when this shed crossed the spike threshold
-    /// for the current one-second window (at most once per window).
-    fn note_shed(&self, started: Instant) -> bool {
-        let now_us = started.elapsed().as_micros() as u64;
-        let spike = self.cfg.shed_spike.max(1);
-        // ordering: Relaxed — spike detection is approximate by design: a
-        // racing window reset can miscount a shed near the boundary, which
-        // costs at most one spurious (or one missed) dump.
-        let window = self.shed_window_start_us.load(Ordering::Relaxed);
-        if now_us.saturating_sub(window) > 1_000_000 {
-            // ordering: Relaxed — one winner rolls the window forward.
-            if self
-                .shed_window_start_us
-                .compare_exchange(window, now_us, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                // ordering: Relaxed — the window winner restarts the count;
-                // a racing add lost near the boundary is tolerated.
-                self.shed_in_window.store(1, Ordering::Relaxed);
-                return spike <= 1;
-            }
-        }
-        // ordering: Relaxed — RMW atomicity makes exactly one shed the
-        // threshold-crossing one per window.
-        self.shed_in_window.fetch_add(1, Ordering::Relaxed) + 1 == spike
-    }
-}
-
 struct Inner {
     config: ServeConfig,
     shards: Vec<Shard>,
@@ -364,9 +206,8 @@ struct Inner {
     /// Injection applications so far (rotates injected seeds so each
     /// application corrupts afresh while staying deterministic).
     injections_applied: AtomicU64,
-    /// Engine start (uptime basis and the flight recorder's clock).
+    /// Engine start (uptime basis).
     started: Instant,
-    flight: Option<FlightState>,
 }
 
 /// Rolls back the optimistic depth accounting of an admission whose send
@@ -374,37 +215,6 @@ struct Inner {
 /// any time: no worker decrement exists for an unpublished request.
 fn undo_depth(shard: &Shard) {
     shard.depth.adjust_owned(-1);
-}
-
-/// Dumps the flight recorder (if configured) for an incident, rate
-/// limited to one dump per 250ms so a failure storm produces one
-/// forensics file, not filesystem churn.
-fn flight_incident(inner: &Inner, reason: &str) {
-    let Some(f) = &inner.flight else { return };
-    let now_us = inner.started.elapsed().as_micros() as u64;
-    // ordering: Relaxed — the CAS elects one dumper per interval; the
-    // dump itself reads the ring through its own slot locks.
-    let last = f.last_dump_us.load(Ordering::Relaxed);
-    if last != 0 && now_us.saturating_sub(last) < 250_000 {
-        return;
-    }
-    // ordering: Relaxed — losing the election just skips a redundant dump.
-    if f.last_dump_us
-        .compare_exchange(last, now_us.max(1), Ordering::Relaxed, Ordering::Relaxed)
-        .is_err()
-    {
-        return;
-    }
-    match f.cfg.recorder.dump_to_file(&f.cfg.path, reason) {
-        Ok(n) => obs::warn!(
-            "serve",
-            "serve: flight recorder dumped {n} events to {} ({reason})",
-            f.cfg.path
-        ),
-        Err(e) => {
-            obs::error!("serve", "serve: flight recorder dump to {} failed: {e}", f.cfg.path)
-        }
-    }
 }
 
 /// FNV-1a over the parameter bits, used only to pick the shard: equal
@@ -468,8 +278,6 @@ pub struct ServeHandle {
 pub struct Server {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    /// Sink registration of the flight recorder, removed at shutdown.
-    flight_sink: Option<obs::SinkId>,
 }
 
 impl Server {
@@ -505,11 +313,6 @@ impl Server {
             });
             receivers.push(rx);
         }
-        let flight_sink = config
-            .flight
-            .as_ref()
-            .map(|f| obs::install_sink(Arc::clone(&f.recorder) as Arc<dyn obs::Sink>));
-        let flight = config.flight.clone().map(FlightState::new);
         let inner = Arc::new(Inner {
             config,
             shards,
@@ -521,7 +324,6 @@ impl Server {
             latency_us: Histogram::new("serve.latency_us"),
             injections_applied: AtomicU64::new(0),
             started: Instant::now(),
-            flight,
         });
         let workers = receivers
             .into_iter()
@@ -546,7 +348,7 @@ impl Server {
             inner.config.max_batch,
             inner.config.deadline
         );
-        Ok(Server { inner, workers, flight_sink })
+        Ok(Server { inner, workers })
     }
 
     /// A cloneable admission handle.
@@ -573,9 +375,6 @@ impl Server {
             if w.join().is_err() {
                 obs::error!("serve", "serve: shard {i} worker panicked outside its guard");
             }
-        }
-        if let Some(id) = self.flight_sink.take() {
-            obs::remove_sink(id);
         }
         obs::info!("serve", "serve: drained and stopped");
         ServeHandle { inner: Arc::clone(&self.inner) }
@@ -818,11 +617,6 @@ impl ServeHandle {
             Err(TrySendError::Full(_)) => {
                 undo_depth(shard);
                 ServeStats::bump(&inner.stats.shed);
-                if let Some(f) = &inner.flight {
-                    if f.note_shed(inner.started) {
-                        flight_incident(inner, "shed_spike");
-                    }
-                }
                 if obs::enabled(obs::Level::Debug) {
                     obs::emit(
                         obs::Level::Debug,
@@ -999,9 +793,7 @@ fn process_batch(inner: &Inner, shard_idx: usize, batch: Vec<Pending>) {
                 // A failed request fails once: it counts one breaker
                 // failure and gets a typed `Internal` answer.
                 ServeStats::bump(&inner.stats.failed);
-                if breaker.on_failure() {
-                    flight_incident(inner, "breaker_trip");
-                }
+                breaker.on_failure();
                 if obs::enabled(obs::Level::Debug) {
                     obs::emit(
                         obs::Level::Debug,
@@ -1026,7 +818,6 @@ fn process_batch(inner: &Inner, shard_idx: usize, batch: Vec<Pending>) {
 fn guarded<T>(inner: &Inner, f: impl FnOnce() -> T) -> Result<T, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
         ServeStats::bump(&inner.stats.panics_caught);
-        flight_incident(inner, "worker_panic");
         format!("panic: {}", panic_text(payload))
     })
 }

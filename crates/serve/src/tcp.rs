@@ -58,7 +58,7 @@ pub fn serve_tcp(
         let handle = handle.clone();
         let shutdown = Arc::clone(&shutdown);
         let scope = obs::current_scope();
-        let _ = std::thread::Builder::new().name("serve-conn".to_string()).spawn(move || {
+        let spawned = std::thread::Builder::new().name("serve-conn".to_string()).spawn(move || {
             let _scope = scope.enter();
             let peer =
                 stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".to_string());
@@ -72,6 +72,11 @@ pub fn serve_tcp(
                 let _ = TcpStream::connect(local);
             }
         });
+        // The failed spawn dropped the stream, closing this client's
+        // connection; the listener itself is fine, so keep accepting.
+        if let Err(e) = spawned {
+            obs::warn!("serve", "serve: cannot spawn a connection thread: {e}");
+        }
     }
     obs::info!("serve", "serve: accept loop stopped");
     Ok(())
