@@ -1,5 +1,5 @@
 //! `bench_report` — measures the batch-evaluation speedups and writes
-//! `BENCH_model.json` (schema v7, see [`archline_bench::BENCH_SCHEMA_VERSION`])
+//! `BENCH_model.json` (schema v9, see [`archline_bench::BENCH_SCHEMA_VERSION`])
 //! into the current directory (the repo root in CI).
 //!
 //! Per batch kernel (`avg_power`, `time_energy`, the fused `evaluate`,
@@ -155,10 +155,10 @@ struct PhasePct {
 
 /// Per-phase latency decomposition from the responses' `phases_us`
 /// envelope (schema v6). The serialize phase is wire-level and absent
-/// from the in-process API, so the breakdown stops at `total`.
+/// from the in-process API, and `window` is always 0, so the breakdown is
+/// queue, kernel and total.
 struct PhaseBreakdown {
     queue: PhasePct,
-    window: PhasePct,
     kernel: PhasePct,
     total: PhasePct,
 }
@@ -175,7 +175,6 @@ impl PhaseBreakdown {
         };
         Some(PhaseBreakdown {
             queue: pcts(phases.iter().map(|p| p.queue_us).collect()),
-            window: pcts(phases.iter().map(|p| p.window_us).collect()),
             kernel: pcts(phases.iter().map(|p| p.kernel_us).collect()),
             total: pcts(phases.iter().map(|p| p.total_us).collect()),
         })
@@ -190,7 +189,6 @@ struct ClosedLoop {
     queries_per_sec: f64,
     latency_p50_us: f64,
     latency_p99_us: f64,
-    mean_batch_occupancy: f64,
     phases: Option<PhaseBreakdown>,
 }
 
@@ -198,7 +196,6 @@ struct ClosedLoop {
 struct OpenLoopPoint {
     offered_qps: f64,
     achieved_qps: f64,
-    mean_batch_occupancy: f64,
     latency_p99_us: f64,
     shed_rate: f64,
 }
@@ -214,8 +211,7 @@ struct ServeBench {
 
 /// Closed-loop clients, each keeping `depth` requests in flight (pipelined
 /// submit-then-drain bursts). `depth = 1` is the strict one-at-a-time mode
-/// schema v4 reported; deeper pipelines build the queue depth that
-/// batches coalesce from.
+/// schema v4 reported; deeper pipelines keep the shard queues non-empty.
 fn serve_closed_loop(clients: usize, depth: usize, queries_per_client: usize) -> ClosedLoop {
     let server = Server::start(ServeConfig::default()).expect("serve engine");
     let handle = server.handle();
@@ -261,8 +257,7 @@ fn serve_closed_loop(clients: usize, depth: usize, queries_per_client: usize) ->
         (all_lat, all_phases)
     });
     let secs = start.elapsed().as_secs_f64();
-    let after = server.shutdown();
-    let stats = after.stats();
+    server.shutdown();
     latencies.sort_unstable();
     let pct = |p: f64| latencies[((latencies.len() - 1) as f64 * p) as usize] as f64;
     ClosedLoop {
@@ -272,7 +267,6 @@ fn serve_closed_loop(clients: usize, depth: usize, queries_per_client: usize) ->
         queries_per_sec: (clients * queries_per_client) as f64 / secs,
         latency_p50_us: pct(0.50),
         latency_p99_us: pct(0.99),
-        mean_batch_occupancy: stats.mean_batch_occupancy(),
         phases: PhaseBreakdown::from_samples(&phase_samples),
     }
 }
@@ -338,15 +332,14 @@ fn serve_open_loop(rate: f64) -> OpenLoopPoint {
     OpenLoopPoint {
         offered_qps: rate,
         achieved_qps: completed as f64 / secs,
-        mean_batch_occupancy: stats.mean_batch_occupancy(),
         latency_p99_us: p99,
         shed_rate: shed as f64 / (total as f64).max(1.0),
     }
 }
 
 /// Drives an in-process archline-serve engine four ways: a pipelined
-/// closed loop (the headline — concurrent load whose queue depth
-/// coalesces into wide kernel passes), the strict depth-1 closed loop
+/// closed loop (the headline — concurrent load that keeps the shard
+/// queues non-empty), the strict depth-1 closed loop
 /// schema v4 reported (continuity), an open-loop arrival-rate sweep
 /// (offered vs achieved qps through saturation), and a deliberate
 /// overload burst against a small queue for the shed rate (a shed rate of
@@ -356,15 +349,11 @@ fn serve_bench() -> ServeBench {
     let depth1 = serve_closed_loop(4, 1, 2_000);
     let open_loop = [50_000.0, 150_000.0, 450_000.0].iter().map(|&r| serve_open_loop(r)).collect();
 
-    // Shed rate under deliberate overload (tiny queue, batch-of-1 worker,
-    // un-paced burst).
-    let overload = Server::start(ServeConfig {
-        shards: 1,
-        queue_bound: 32,
-        max_batch: 1,
-        ..ServeConfig::default()
-    })
-    .expect("overload engine");
+    // Shed rate under deliberate overload (tiny queue, one shard, un-paced
+    // burst).
+    let overload =
+        Server::start(ServeConfig { shards: 1, queue_bound: 32, ..ServeConfig::default() })
+            .expect("overload engine");
     let ohandle = overload.handle();
     let submitted = 2_000;
     let tickets: Vec<_> =
@@ -684,12 +673,10 @@ fn main() {
     let _ = writeln!(json, "    \"queries_per_sec\": {:.1},", h.queries_per_sec);
     let _ = writeln!(json, "    \"latency_p50_us\": {:.1},", h.latency_p50_us);
     let _ = writeln!(json, "    \"latency_p99_us\": {:.1},", h.latency_p99_us);
-    let _ = writeln!(json, "    \"mean_batch_occupancy\": {:.3},", h.mean_batch_occupancy);
     if let Some(ph) = &h.phases {
         let _ = writeln!(json, "    \"phases_us\": {{");
-        let phase_rows: [(&str, &PhasePct); 4] = [
+        let phase_rows: [(&str, &PhasePct); 3] = [
             ("queue", &ph.queue),
-            ("window", &ph.window),
             ("kernel", &ph.kernel),
             ("total", &ph.total),
         ];
@@ -710,8 +697,7 @@ fn main() {
     let _ = writeln!(json, "      \"queries\": {},", d1.queries);
     let _ = writeln!(json, "      \"queries_per_sec\": {:.1},", d1.queries_per_sec);
     let _ = writeln!(json, "      \"latency_p50_us\": {:.1},", d1.latency_p50_us);
-    let _ = writeln!(json, "      \"latency_p99_us\": {:.1},", d1.latency_p99_us);
-    let _ = writeln!(json, "      \"mean_batch_occupancy\": {:.3}", d1.mean_batch_occupancy);
+    let _ = writeln!(json, "      \"latency_p99_us\": {:.1}", d1.latency_p99_us);
     let _ = writeln!(json, "    }},");
     let _ = writeln!(json, "    \"open_loop\": [");
     let last = serve.open_loop.len().saturating_sub(1);
@@ -719,7 +705,6 @@ fn main() {
         let _ = writeln!(json, "      {{");
         let _ = writeln!(json, "        \"offered_qps\": {:.1},", pt.offered_qps);
         let _ = writeln!(json, "        \"achieved_qps\": {:.1},", pt.achieved_qps);
-        let _ = writeln!(json, "        \"mean_batch_occupancy\": {:.3},", pt.mean_batch_occupancy);
         let _ = writeln!(json, "        \"latency_p99_us\": {:.1},", pt.latency_p99_us);
         let _ = writeln!(json, "        \"shed_rate\": {:.3}", pt.shed_rate);
         let _ = writeln!(json, "      }}{}", if i == last { "" } else { "," });

@@ -35,7 +35,11 @@
 ///   assembly (pickup to dispatch) rather than a hold.
 /// * v8: the serve section drops the `plan_cache` block — the engine
 ///   compiles each request's plan once at admission and keeps no cache.
-pub const BENCH_SCHEMA_VERSION: u64 = 8;
+/// * v9: the serve section drops the mean batch occupancy (from the
+///   headline, `closed_loop_depth1` and every `open_loop` point) and the
+///   headline's `window` phase row — a worker picks one request at a
+///   time, so occupancy is always 1 and the window phase always 0.
+pub const BENCH_SCHEMA_VERSION: u64 = 9;
 
 /// Inspects a prior `BENCH_model.json` about to be replaced and returns a
 /// human-readable warning when it predates `current` (or does not parse) —

@@ -224,85 +224,49 @@ impl Event<'_> {
     /// Renders this event as one JSONL line (no trailing newline).
     /// `timing` controls whether `dur_us`/`self_us` appear.
     pub fn render_jsonl(&self, timing: bool, out: &mut String) {
-        render_line(
-            out, timing, self.seq, self.kind, self.level, self.target, self.name,
-            self.span_id, self.parent, self.dur_ns, self.self_ns, self.fields, self.msg,
-        );
-    }
-}
-
-impl OwnedEvent {
-    /// Renders this event as one JSONL line (no trailing newline) — the
-    /// same encoding as [`Event::render_jsonl`] (owned copies carry no
-    /// self time, so `self_us` never appears).
-    pub fn render_jsonl(&self, timing: bool, out: &mut String) {
-        render_line(
-            out, timing, self.seq, self.kind, self.level, &self.target, &self.name,
-            self.span_id, self.parent, self.dur_ns, None, &self.fields, self.msg.as_deref(),
-        );
-    }
-}
-
-/// Shared JSONL encoder behind [`Event::render_jsonl`] and
-/// [`OwnedEvent::render_jsonl`] — one definition of the line format.
-#[allow(clippy::too_many_arguments)]
-fn render_line(
-    out: &mut String,
-    timing: bool,
-    seq: u64,
-    kind: EventKind,
-    level: Level,
-    target: &str,
-    name: &str,
-    span_id: u64,
-    parent: u64,
-    dur_ns: Option<u64>,
-    self_ns: Option<u64>,
-    fields: &[Field],
-    msg: Option<&str>,
-) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{{\"seq\":{},\"ev\":\"{}\"", seq, kind.name());
-    let _ = write!(out, ",\"level\":\"{}\"", level.name());
-    out.push_str(",\"target\":");
-    json::push_str_escaped(out, target);
-    if !name.is_empty() {
-        out.push_str(",\"name\":");
-        json::push_str_escaped(out, name);
-    }
-    if span_id != 0 {
-        let _ = write!(out, ",\"id\":{span_id}");
-    }
-    if matches!(kind, EventKind::SpanOpen) {
-        let _ = write!(out, ",\"parent\":{parent}");
-    }
-    if timing {
-        if let Some(ns) = dur_ns {
-            out.push_str(",\"dur_us\":");
-            json::push_f64(out, ns as f64 / 1e3);
+        use std::fmt::Write as _;
+        let _ = write!(out, "{{\"seq\":{},\"ev\":\"{}\"", self.seq, self.kind.name());
+        let _ = write!(out, ",\"level\":\"{}\"", self.level.name());
+        out.push_str(",\"target\":");
+        json::push_str_escaped(out, self.target);
+        if !self.name.is_empty() {
+            out.push_str(",\"name\":");
+            json::push_str_escaped(out, self.name);
         }
-        if let Some(ns) = self_ns {
-            out.push_str(",\"self_us\":");
-            json::push_f64(out, ns as f64 / 1e3);
+        if self.span_id != 0 {
+            let _ = write!(out, ",\"id\":{}", self.span_id);
         }
-    }
-    if !fields.is_empty() {
-        out.push_str(",\"fields\":{");
-        for (i, f) in fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        if matches!(self.kind, EventKind::SpanOpen) {
+            let _ = write!(out, ",\"parent\":{}", self.parent);
+        }
+        if timing {
+            if let Some(ns) = self.dur_ns {
+                out.push_str(",\"dur_us\":");
+                json::push_f64(out, ns as f64 / 1e3);
             }
-            json::push_str_escaped(out, f.key);
-            out.push(':');
-            f.value.write_json(out);
+            if let Some(ns) = self.self_ns {
+                out.push_str(",\"self_us\":");
+                json::push_f64(out, ns as f64 / 1e3);
+            }
+        }
+        if !self.fields.is_empty() {
+            out.push_str(",\"fields\":{");
+            for (i, f) in self.fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::push_str_escaped(out, f.key);
+                out.push(':');
+                f.value.write_json(out);
+            }
+            out.push('}');
+        }
+        if let Some(msg) = self.msg {
+            out.push_str(",\"msg\":");
+            json::push_str_escaped(out, msg);
         }
         out.push('}');
     }
-    if let Some(msg) = msg {
-        out.push_str(",\"msg\":");
-        json::push_str_escaped(out, msg);
-    }
-    out.push('}');
 }
 
 /// Process-wide monotonic event sequence.
@@ -387,29 +351,6 @@ mod tests {
         ev.render_jsonl(false, &mut without);
         assert!(!without.contains("dur_us"), "{without}");
         assert!(!without.contains("self_us"), "{without}");
-    }
-
-    #[test]
-    fn owned_render_matches_borrowed_render() {
-        let fields = vec![field("class", "spike"), field("seed", 7u64)];
-        let ev = Event {
-            seq: 11,
-            kind: EventKind::Point,
-            level: Level::Debug,
-            target: "fault",
-            name: "injected",
-            span_id: 0,
-            parent: 0,
-            dur_ns: None,
-            self_ns: None,
-            fields: &fields,
-            msg: None,
-        };
-        let mut borrowed = String::new();
-        ev.render_jsonl(true, &mut borrowed);
-        let mut owned = String::new();
-        ev.to_owned().render_jsonl(true, &mut owned);
-        assert_eq!(borrowed, owned);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! archline-serve [--addr HOST:PORT] [--shards N] [--queue-bound N]
-//!                [--deadline-ms N] [--max-batch N]
-//!                [--metrics on|off]
+//!                [--deadline-ms N] [--metrics on|off]
 //!                [--inject 'PLATFORM:CLASS:SEVERITY[:SEED]']...
 //!                [--allow-shutdown] [-q] [-v[v]] [--trace-out PATH]
 //! ```
@@ -40,8 +39,7 @@ fn usage(error: &str) -> ! {
     }
     eprintln!(
         "usage: archline-serve [--addr HOST:PORT] [--shards N] [--queue-bound N] \
-         [--deadline-ms N] [--max-batch N] \
-         [--metrics on|off] \
+         [--deadline-ms N] [--metrics on|off] \
          [--inject 'PLATFORM:CLASS:SEVERITY[:SEED]'] [--allow-shutdown] \
          [-q] [-v[v]] [--trace-out PATH]"
     );
@@ -91,7 +89,6 @@ fn main() {
             },
             "--shards" => config.shards = next_usize(&mut it, "--shards"),
             "--queue-bound" => config.queue_bound = next_usize(&mut it, "--queue-bound"),
-            "--max-batch" => config.max_batch = next_usize(&mut it, "--max-batch"),
             "--deadline-ms" => {
                 config.deadline = Duration::from_millis(next_usize(&mut it, "--deadline-ms") as u64)
             }

@@ -6,8 +6,8 @@
 //!
 //! Each tick opens a connection, sends `{"op":"stats"}` and
 //! `{"op":"metrics"}`, and renders: uptime, qps (completed delta over the
-//! tick), shed rate, occupancy, per-shard breaker state + live queue
-//! depth, and per-phase p50/p99 from
+//! tick), shed rate, per-shard breaker state + live queue depth, and
+//! per-phase p50/p99 from
 //! the `serve.phase.*` histograms (reconstructed from the metrics op's
 //! JSON buckets through the obs quantile estimator).
 //!
@@ -139,10 +139,7 @@ fn render(addr: &str, s: &Scrape, qps: f64, shed_rate: f64, clear: bool) {
     }
     let uptime = get_f64(&s.stats, "uptime_s");
     println!("archline-top — {addr}   up {uptime:.0}s");
-    println!(
-        "qps {qps:>8.1}   shed/s {shed_rate:>7.1}   occupancy {:>5.2}",
-        get_f64(&s.stats, "mean_batch_occupancy"),
-    );
+    println!("qps {qps:>8.1}   shed/s {shed_rate:>7.1}");
     println!(
         "accepted {}   completed {}   shed {}   failed {}   expired {}   panics {}",
         get_u64(&s.stats, "accepted"),
@@ -166,7 +163,7 @@ fn render(addr: &str, s: &Scrape, qps: f64, shed_rate: f64, clear: bool) {
     }
     println!();
     println!("{:<12} {:>17} {:>17} {:>17}", "phase p50/p99", "eval", "sweep", "crossover");
-    for phase in ["queue", "window", "kernel", "serialize", "total"] {
+    for phase in ["queue", "kernel", "serialize", "total"] {
         let cells: Vec<String> = ["eval", "sweep", "crossover"]
             .iter()
             .map(|kind| quantile_cell(&s.metrics, &format!("serve.phase.{phase}_us.{kind}")))

@@ -6,20 +6,17 @@
 //! and the server answers with the SoA batch kernels of a [`RooflinePlan`]
 //! compiled for each request at admission.
 //!
-//! A batch is whatever the shard queue holds: a worker blocks for one
-//! request, drains the rest of its queue (up to
-//! [`ServeConfig::max_batch`]), and evaluates at once. It never holds a
-//! batch open waiting for more, so pipelined load coalesces from queue
-//! depth while a lone request pays no wait. A plan is a few divisions over
-//! six constants, so no cache holds them: admission compiles each
-//! request's plan, and a what-if override the model rejects is a typed
-//! [`Reject::BadRequest`] before any worker sees it. Within a batch every
-//! request is evaluated on its own and answered as soon as it is computed:
-//! the model is pointwise, so packing requests into shared kernel passes
-//! would save no arithmetic, only copies. An eval is one fused
-//! batch-kernel pass written straight into its answer columns; a sweep is
-//! one [`RooflinePlan::sweep`] pass that builds its grid and evaluates its
-//! metric together, in parallel chunks when large.
+//! A shard worker picks one request from its queue, checks its deadline,
+//! evaluates it and answers it before it picks the next; it never waits
+//! for more work to arrive. A plan is a few divisions over six constants,
+//! so no cache holds them: admission compiles each request's plan, and a
+//! what-if override the model rejects is a typed [`Reject::BadRequest`]
+//! before any worker sees it. The model is pointwise, so grouping
+//! requests into shared kernel passes would save no arithmetic, only
+//! copies. An eval is one fused batch-kernel pass written straight into
+//! its answer columns; a sweep is one [`RooflinePlan::sweep`] pass that
+//! builds its grid and evaluates its metric together, in parallel chunks
+//! when large.
 //!
 //! Two front doors share one engine:
 //!
@@ -36,8 +33,9 @@
 //!   when it is full the request is *shed* with a typed
 //!   [`Reject::Overloaded`] — queues never grow without bound.
 //! * **Deadlines**: every request carries a deadline (default from
-//!   [`ServeConfig::deadline`]); expiry is checked cooperatively at batch
-//!   boundaries and answered with [`Reject::DeadlineExceeded`].
+//!   [`ServeConfig::deadline`]); expiry is checked cooperatively when a
+//!   worker picks the request and answered with
+//!   [`Reject::DeadlineExceeded`].
 //! * **Circuit breaker**: per shard — consecutive evaluation failures trip
 //!   it open, admission then rejects with [`Reject::BreakerOpen`], and
 //!   after a cooldown a half-open probe decides whether to close it.
@@ -58,8 +56,9 @@
 //! With telemetry on (the default; `--metrics off` disables), every
 //! admitted request runs under a [`TraceId`] — client-supplied via the
 //! request's `trace` field or minted at admission — echoed on the response
-//! next to a [`Phases`] breakdown (`phases_us`: queue-wait; window, the
-//! batch assembly from pickup to dispatch; kernel; serialize; total), and
+//! next to a [`Phases`] breakdown (`phases_us`: queue, admission to pick;
+//! window, always 0; kernel, pick to answer for this request alone;
+//! serialize; total), and
 //! the same breakdown feeds per-query-kind histograms the
 //! `{"op":"metrics"}` wire op exposes as JSON *and* Prometheus text
 //! exposition. Every serve instrument belongs to one server, so two
@@ -68,10 +67,10 @@
 //! envelope grows, the results do not (pinned by
 //! `tests/serve_batching.rs`).
 //!
-//! Healthy shards answer **bit-identically** under load, batching, and
+//! Healthy shards answer **bit-identically** under load, queue depth, and
 //! co-resident sabotage: the plan kernels are elementwise and
 //! split-invariant (pinned by `core/tests/plan_properties.rs`), so a
-//! query's answer never depends on which batch it landed in.
+//! query's answer never depends on what was queued around it.
 //!
 //! [`RooflinePlan`]: archline_core::RooflinePlan
 //! [`RooflinePlan::sweep`]: archline_core::RooflinePlan::sweep

@@ -43,21 +43,21 @@ impl std::fmt::Display for TraceId {
 }
 
 /// Where a response's latency went, in microseconds per phase. `total` is
-/// the admission→answer wall time, defined as exactly `queue + window +
-/// kernel` (each part floors its own microseconds); result serialization
-/// happens after the answer is
-/// handed to the wire and is measured separately (the fifth `serialize`
-/// entry of the wire's `phases_us` object).
+/// the admission→answer wall time, defined as exactly `queue + kernel`
+/// (each part floors its own microseconds); result serialization happens
+/// after the answer is handed to the wire and is measured separately (the
+/// `serialize` entry of the wire's `phases_us` object).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Phases {
-    /// Admission to batch pickup: time spent waiting in the shard queue.
+    /// Admission to pick: time spent waiting in the shard queue.
     pub queue_us: u64,
-    /// Batch pickup to batch dispatch: batch assembly (draining the rest
-    /// of the queued batch, then the deadline partition). The worker never
-    /// waits for more work here.
+    /// Always 0: a worker picks one request and evaluates it at once, so
+    /// there is no assembly step between pick and kernel. Kept so the wire
+    /// key `phases_us.window` and the readers of this field keep their
+    /// shape.
     pub window_us: u64,
-    /// Batch dispatch to answer: plan lookup plus kernel evaluation
-    /// (including the batchmates evaluated ahead of it in the batch).
+    /// Pick to answer: the deadline check, this request's own kernel
+    /// evaluation and its reply.
     pub kernel_us: u64,
     /// Admission to answer.
     pub total_us: u64,

@@ -3,19 +3,19 @@
 //!
 //! Requests are admitted on the caller's thread (validate + resolve +
 //! compile the plan + breaker check + bounded `try_send`), then a shard
-//! worker drains its queue into a batch, answers the expired requests, and
-//! evaluates each live one on its own — one kernel pass and one panic
-//! guard per request, answered as soon as it is computed. A plan is a few
-//! divisions over six constants, so each request carries its own, compiled
-//! once at admission: a parameter set the model rejects is a typed
-//! `bad_request` there and never reaches a worker.
+//! worker picks one request at a time, answers it at once if its deadline
+//! has passed, and otherwise evaluates it under its own panic guard and
+//! answers it. A plan is a few divisions over six constants, so each
+//! request carries its own, compiled once at admission: a parameter set
+//! the model rejects is a typed `bad_request` there and never reaches a
+//! worker.
 //!
 //! [`RooflinePlan`]: archline_core::RooflinePlan
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -34,7 +34,7 @@ use crate::telemetry;
 
 /// Engine configuration. `Default` is the production setting the
 /// `archline-serve` binary starts from. Its flags set `shards`,
-/// `queue_bound`, `deadline`, `max_batch`, `inject` and `telemetry`; the
+/// `queue_bound`, `deadline`, `inject` and `telemetry`; the
 /// other fields have no flag, so the binary runs with their defaults and
 /// only in-process callers change them.
 #[derive(Debug, Clone)]
@@ -45,8 +45,6 @@ pub struct ServeConfig {
     pub queue_bound: usize,
     /// Default per-request deadline (a request's `deadline_ms` overrides).
     pub deadline: Duration,
-    /// Most queued requests a worker drains into one batch.
-    pub max_batch: usize,
     /// Most points/grid entries accepted per request.
     pub max_points: usize,
     /// Consecutive failures that trip a shard's breaker (default 5).
@@ -73,7 +71,6 @@ impl Default for ServeConfig {
             shards: 4,
             queue_bound: 256,
             deadline: Duration::from_secs(2),
-            max_batch: 64,
             max_points: crate::protocol::MAX_WIRE_POINTS,
             breaker_trip: 5,
             breaker_cooldown: Duration::from_millis(100),
@@ -93,7 +90,7 @@ pub struct ServeStats {
     pub accepted: AtomicU64,
     /// Shed by a full queue.
     pub shed: AtomicU64,
-    /// Rejected at a batch boundary: deadline passed.
+    /// Rejected when a worker picked it: deadline passed.
     pub deadline_expired: AtomicU64,
     /// Rejected at admission: breaker open.
     pub breaker_rejected: AtomicU64,
@@ -111,9 +108,12 @@ pub struct ServeStats {
     pub retries: AtomicU64,
     /// Panics caught in evaluation.
     pub panics_caught: AtomicU64,
-    /// Kernel batches executed.
+    /// Requests picked by a worker. Each pick is one request, so this
+    /// always equals `batched_requests`. Kept, like `retries`, only so
+    /// perfbench still compiles and reads an occupancy of exactly 1; not
+    /// exposed on the wire.
     pub batches: AtomicU64,
-    /// Requests across all executed batches (occupancy numerator).
+    /// Requests picked by a worker; see `batches`.
     pub batched_requests: AtomicU64,
     /// Always 0: each request's plan is compiled once at admission, so
     /// there is no plan cache to hit. Kept, like `retries`, so readers of
@@ -148,18 +148,6 @@ impl ServeStats {
             ("serve.panics_caught", v(&self.panics_caught)),
         ]
     }
-
-    /// Mean requests per kernel batch so far (0 when no batch ran).
-    pub fn mean_batch_occupancy(&self) -> f64 {
-        // ordering: Relaxed — observational statistic reads; the ratio is
-        // approximate by nature while workers are running.
-        let b = self.batches.load(Ordering::Relaxed);
-        if b == 0 {
-            0.0
-        } else {
-            self.batched_requests.load(Ordering::Relaxed) as f64 / b as f64
-        }
-    }
 }
 
 /// One queued request, resolved and compiled at admission.
@@ -175,12 +163,6 @@ struct Pending {
     /// admission when telemetry is on (`None` = telemetry off and the
     /// client sent none — nothing to echo).
     trace: Option<TraceId>,
-    /// When a worker moved it from the shard queue into a batch (end of
-    /// the queue-wait phase).
-    picked: Option<Instant>,
-    /// When its batch dispatched to evaluation (end of the window phase:
-    /// batch assembly, i.e. the drain and the deadline partition).
-    dispatched: Option<Instant>,
     reply: mpsc::Sender<Response>,
 }
 
@@ -199,8 +181,6 @@ struct Inner {
     accepting: AtomicBool,
     stats: ServeStats,
     phases: telemetry::PhaseHistograms,
-    /// Requests per kernel batch.
-    batch_occupancy: Histogram,
     /// Admission-to-response latency, microseconds.
     latency_us: Histogram,
     /// Injection applications so far (rotates injected seeds so each
@@ -299,7 +279,6 @@ impl Server {
         let config = ServeConfig {
             shards: config.shards.max(1),
             queue_bound: config.queue_bound.max(1),
-            max_batch: config.max_batch.max(1),
             ..config
         };
         let mut shards = Vec::with_capacity(config.shards);
@@ -320,7 +299,6 @@ impl Server {
             accepting: AtomicBool::new(true),
             stats: ServeStats::default(),
             phases: telemetry::phase_histograms(),
-            batch_occupancy: Histogram::new("serve.batch_occupancy"),
             latency_us: Histogram::new("serve.latency_us"),
             injections_applied: AtomicU64::new(0),
             started: Instant::now(),
@@ -342,10 +320,9 @@ impl Server {
             .collect::<Result<Vec<_>, String>>()?;
         obs::info!(
             "serve",
-            "serve: started {} shards (queue {}, batch {}, deadline {:?})",
+            "serve: started {} shards (queue {}, deadline {:?})",
             inner.config.shards,
             inner.config.queue_bound,
-            inner.config.max_batch,
             inner.config.deadline
         );
         Ok(Server { inner, workers })
@@ -411,7 +388,7 @@ impl ServeHandle {
     /// This engine's instruments merged into the process-wide obs
     /// snapshot (par/fit/faults): the [`ServeStats::table`] counters,
     /// summed breaker transitions, per-shard depth gauges, and the
-    /// latency, occupancy and phase histograms.
+    /// latency and phase histograms.
     pub(crate) fn metrics(&self) -> MetricsSnapshot {
         let inner = &self.inner;
         let mut snap = obs::metrics::snapshot();
@@ -428,9 +405,10 @@ impl ServeHandle {
         snap.gauges.extend(inner.shards.iter().enumerate().map(|(i, s)| {
             (format!("serve.shard{i}.queue_depth"), s.depth.get(), s.depth.max())
         }));
-        let own = [&inner.batch_occupancy, &inner.latency_us];
         snap.histograms.extend(
-            own.into_iter().chain(inner.phases.iter().flatten()).map(Histogram::snapshot),
+            std::iter::once(&inner.latency_us)
+                .chain(inner.phases.iter().flatten())
+                .map(Histogram::snapshot),
         );
         snap.counters.sort();
         snap.gauges.sort();
@@ -589,8 +567,6 @@ impl ServeHandle {
             deadline,
             enqueued: now,
             trace,
-            picked: None,
-            dispatched: None,
             reply: reply.clone(),
         };
         let sender = {
@@ -674,31 +650,22 @@ fn validate_query(query: &Query, max_points: usize) -> Result<(), Reject> {
     Ok(())
 }
 
-fn respond(inner: &Inner, p: &Pending, result: Result<QueryResult, Reject>) {
+/// Answers `p`, which a worker picked at `picked`.
+fn respond(inner: &Inner, p: &Pending, picked: Instant, result: Result<QueryResult, Reject>) {
     let ok = result.is_ok();
     let now = Instant::now();
     let total_us = now.saturating_duration_since(p.enqueued).as_micros() as u64;
     inner.latency_us.record_owned(total_us);
-    // Phase decomposition: queue (enqueued→picked), window (picked→batch
-    // dispatch), kernel (dispatch→here). The phase total is defined as the
-    // sum of the three parts so it holds exactly despite each duration
+    // Phase decomposition: queue (enqueued→picked) and kernel (picked→here,
+    // this request alone); `window` is always 0. The phase total is defined
+    // as the sum of the parts so it holds exactly despite each duration
     // flooring its own microsecond conversion (the raw enqueued→now
-    // measurement, off by at most 2us, still feeds `latency_us` above); the
-    // serialize phase is measured later, at the wire layer. Answers that
-    // skipped a stage (deadline expiry at the batch boundary) collapse the
-    // missing phases to zero rather than invent timestamps.
+    // measurement, off by at most 1us, still feeds `latency_us` above); the
+    // serialize phase is measured later, at the wire layer.
     let phases = if inner.config.telemetry {
-        let picked = p.picked.unwrap_or(now);
-        let dispatched = p.dispatched.unwrap_or(picked).max(picked);
         let queue_us = picked.saturating_duration_since(p.enqueued).as_micros() as u64;
-        let window_us = dispatched.saturating_duration_since(picked).as_micros() as u64;
-        let kernel_us = now.saturating_duration_since(dispatched).as_micros() as u64;
-        let ph = Phases {
-            queue_us,
-            window_us,
-            kernel_us,
-            total_us: queue_us + window_us + kernel_us,
-        };
+        let kernel_us = now.saturating_duration_since(picked).as_micros() as u64;
+        let ph = Phases { queue_us, window_us: 0, kernel_us, total_us: queue_us + kernel_us };
         if ok {
             telemetry::record_phases(&inner.phases, telemetry::kind_index(&p.query), &ph);
         }
@@ -714,86 +681,36 @@ fn respond(inner: &Inner, p: &Pending, result: Result<QueryResult, Reject>) {
     let _ = p.reply.send(Response { id: p.id, trace: p.trace, phases, result });
 }
 
-/// Drains whatever is already queued, up to `max_batch`. Returns `false`
-/// when the channel disconnected (all senders dropped: shutdown) — the
-/// caller finishes the batch in hand, then exits.
-fn drain_queued(rx: &Receiver<Pending>, batch: &mut Vec<Pending>, max_batch: usize) -> bool {
-    while batch.len() < max_batch {
-        match rx.try_recv() {
-            Ok(mut p) => {
-                // End of the queue-wait phase: a worker now holds it.
-                p.picked = Some(Instant::now());
-                batch.push(p);
-            }
-            Err(TryRecvError::Empty) => return true,
-            Err(TryRecvError::Disconnected) => return false,
-        }
-    }
-    true
-}
-
+/// One shard's worker: picks one request at a time and answers it before
+/// picking the next. Each request is evaluated on the plan compiled at its
+/// admission, under its own panic guard: the model is pointwise, so
+/// grouping requests would save no arithmetic.
 fn worker_loop(inner: Arc<Inner>, shard_idx: usize, rx: Receiver<Pending>) {
-    let mut connected = true;
-    while connected {
-        // Block for work; a disconnect means every sender is gone
-        // (shutdown) and the queue is fully drained.
-        let mut first = match rx.recv() {
-            Ok(p) => p,
-            Err(_) => break,
-        };
-        first.picked = Some(Instant::now());
-        // Dispatch what the queue holds: under pipelined load the backlog
-        // is the batch, and a lone request runs at once.
-        let mut batch = vec![first];
-        connected = drain_queued(&rx, &mut batch, inner.config.max_batch);
-        inner.shards[shard_idx].depth.adjust_owned(-(batch.len() as i64));
-        process_batch(&inner, shard_idx, batch);
-    }
-    obs::debug!("serve", "serve: shard {shard_idx} drained");
-}
-
-fn process_batch(inner: &Inner, shard_idx: usize, batch: Vec<Pending>) {
-    let _span = obs::span_with(
-        obs::Level::Debug,
-        "serve",
-        "batch",
-        &[field("shard", shard_idx), field("n", batch.len())],
-    );
-    ServeStats::bump(&inner.stats.batches);
-    // ordering: Relaxed — occupancy statistic; see ServeStats::bump.
-    inner.stats.batched_requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    inner.batch_occupancy.record_owned(batch.len() as u64);
-
-    // Cooperative cancellation at the batch boundary: answer expired
-    // requests without evaluating them. Deadline outcomes never touch the
-    // breaker — a queueing delay is not an evaluation failure.
-    let now = Instant::now();
-    let (live, expired): (Vec<Pending>, Vec<Pending>) =
-        batch.into_iter().partition(|p| p.deadline > now);
-    for p in expired {
-        ServeStats::bump(&inner.stats.deadline_expired);
-        respond(inner, &p, Err(Reject::DeadlineExceeded));
-    }
-
-    // Each live request is evaluated on the plan compiled at its admission,
-    // under its own panic guard, and answered at once: the model is
-    // pointwise, so packing requests into shared kernel passes would save no
-    // arithmetic.
-    let breaker = &inner.shards[shard_idx].breaker;
-    for mut p in live {
-        // End of the window phase (batch assembly): one stamp for the whole
-        // batch — the partition instant.
-        p.dispatched = Some(now);
-        match guarded(inner, || evaluate(inner, &p)).and_then(|r| r) {
-            Ok(result) => {
-                breaker.on_success();
-                respond(inner, &p, Ok(result));
-            }
+    let shard = &inner.shards[shard_idx];
+    // Block for work; a disconnect means every sender is gone (shutdown)
+    // and the queue is fully drained.
+    while let Ok(p) = rx.recv() {
+        // End of the queue-wait phase: this worker now holds the request.
+        let picked = Instant::now();
+        shard.depth.adjust_owned(-1);
+        ServeStats::bump(&inner.stats.batches);
+        ServeStats::bump(&inner.stats.batched_requests);
+        // Cooperative cancellation at pick time: an expired request is
+        // answered without evaluation. Deadline outcomes never touch the
+        // breaker — a queueing delay is not an evaluation failure.
+        if p.deadline <= picked {
+            ServeStats::bump(&inner.stats.deadline_expired);
+            respond(&inner, &p, picked, Err(Reject::DeadlineExceeded));
+            continue;
+        }
+        let result = guarded(&inner, || evaluate(&inner, &p)).and_then(|r| r);
+        match &result {
+            Ok(_) => shard.breaker.on_success(),
             Err(why) => {
                 // A failed request fails once: it counts one breaker
                 // failure and gets a typed `Internal` answer.
                 ServeStats::bump(&inner.stats.failed);
-                breaker.on_failure();
+                shard.breaker.on_failure();
                 if obs::enabled(obs::Level::Debug) {
                     obs::emit(
                         obs::Level::Debug,
@@ -807,10 +724,11 @@ fn process_batch(inner: &Inner, shard_idx: usize, batch: Vec<Pending>) {
                         ],
                     );
                 }
-                respond(inner, &p, Err(Reject::Internal(why)));
             }
         }
+        respond(&inner, &p, picked, result.map_err(Reject::Internal));
     }
+    obs::debug!("serve", "serve: shard {shard_idx} drained");
 }
 
 /// Runs `f` under a panic guard: a panic becomes the `Err` text of a typed
@@ -1076,13 +994,9 @@ mod tests {
     fn overload_sheds_with_typed_rejection_and_bounded_queues() {
         // One shard, tiny queue, and a worker kept busy by big requests:
         // past the bound, admission must shed (typed), never block or grow.
-        let server = Server::start(ServeConfig {
-            shards: 1,
-            queue_bound: 4,
-            max_batch: 1,
-            ..Default::default()
-        })
-        .unwrap();
+        let server =
+            Server::start(ServeConfig { shards: 1, queue_bound: 4, ..Default::default() })
+                .unwrap();
         let handle = server.handle();
         let mut tickets = Vec::new();
         let mut shed = 0;
@@ -1109,10 +1023,9 @@ mod tests {
 
     #[test]
     fn expired_deadlines_reject_at_the_batch_boundary() {
-        let server =
-            Server::start(ServeConfig { shards: 1, max_batch: 64, ..Default::default() }).unwrap();
+        let server = Server::start(ServeConfig { shards: 1, ..Default::default() }).unwrap();
         let handle = server.handle();
-        // A zero-millisecond deadline expires before any batch boundary.
+        // A zero-millisecond deadline expires before any worker picks it.
         let mut req = eval_req(5, "Arndale CPU", 4);
         req.deadline_ms = Some(0);
         let resp = handle.query(req);

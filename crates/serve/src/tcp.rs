@@ -187,7 +187,7 @@ fn control_line(kind: &str, extra: impl IntoIterator<Item = (String, Value)>) ->
 }
 
 /// The `{"op":"stats"}` answer: this engine's [`ServeStats::table`]
-/// counters plus uptime, mean batch occupancy and per-shard state.
+/// counters plus uptime and per-shard state.
 ///
 /// [`ServeStats::table`]: crate::ServeStats::table
 fn stats_line(handle: &ServeHandle) -> String {
@@ -196,7 +196,6 @@ fn stats_line(handle: &ServeHandle) -> String {
         |f: &dyn Fn(usize) -> Value| Value::Array((0..handle.num_shards()).map(f).collect());
     let derived = [
         ("uptime_s", Value::from(handle.uptime().as_secs_f64())),
-        ("mean_batch_occupancy", Value::from(s.mean_batch_occupancy())),
         ("queue_depths", per_shard(&|i| Value::from(handle.shard_depth(i)))),
         ("breakers", per_shard(&|i| Value::from(handle.breaker_state(i).name()))),
     ];

@@ -38,34 +38,32 @@ pub(crate) fn result_kind_index(r: &QueryResult) -> usize {
 }
 
 /// One server's phase histograms, indexed `[kind][phase]`: kinds as in
-/// [`kind_index`], phases queue, window, kernel, serialize, total.
-pub(crate) type PhaseHistograms = [[Histogram; 5]; 3];
+/// [`kind_index`], phases queue, kernel, serialize, total. The wire's
+/// `window` phase is always 0, so it has no histogram.
+pub(crate) type PhaseHistograms = [[Histogram; 4]; 3];
 
-const PHASE_NAMES: [[&str; 5]; 3] = [
+const PHASE_NAMES: [[&str; 4]; 3] = [
     [
         "serve.phase.queue_us.eval",
-        "serve.phase.window_us.eval",
         "serve.phase.kernel_us.eval",
         "serve.phase.serialize_us.eval",
         "serve.phase.total_us.eval",
     ],
     [
         "serve.phase.queue_us.sweep",
-        "serve.phase.window_us.sweep",
         "serve.phase.kernel_us.sweep",
         "serve.phase.serialize_us.sweep",
         "serve.phase.total_us.sweep",
     ],
     [
         "serve.phase.queue_us.crossover",
-        "serve.phase.window_us.crossover",
         "serve.phase.kernel_us.crossover",
         "serve.phase.serialize_us.crossover",
         "serve.phase.total_us.crossover",
     ],
 ];
 
-const SERIALIZE: usize = 3;
+const SERIALIZE: usize = 2;
 
 /// Empty phase histograms for a new server.
 pub(crate) fn phase_histograms() -> PhaseHistograms {
@@ -75,9 +73,8 @@ pub(crate) fn phase_histograms() -> PhaseHistograms {
 /// Records a successfully answered request's phase breakdown for its
 /// query kind (the serialize phase arrives later, from the wire layer).
 pub(crate) fn record_phases(h: &PhaseHistograms, kind: usize, ph: &Phases) {
-    let [queue, window, kernel, _, total] = &h[kind];
+    let [queue, kernel, _, total] = &h[kind];
     queue.record_owned(ph.queue_us);
-    window.record_owned(ph.window_us);
     kernel.record_owned(ph.kernel_us);
     total.record_owned(ph.total_us);
 }
@@ -146,10 +143,10 @@ mod tests {
     #[test]
     fn phase_records_land_in_the_owner_not_the_registry() {
         let h = phase_histograms();
-        record_phases(&h, 0, &Phases { queue_us: 1, window_us: 2, kernel_us: 3, total_us: 6 });
+        record_phases(&h, 0, &Phases { queue_us: 1, window_us: 0, kernel_us: 3, total_us: 4 });
         assert_eq!(h[0][0].snapshot().name, "serve.phase.queue_us.eval");
         assert_eq!(h[0][0].snapshot().count, 1);
-        assert_eq!(h[0][4].snapshot().sum, 6);
+        assert_eq!(h[0][3].snapshot().sum, 4);
         assert_eq!(h[0][SERIALIZE].snapshot().count, 0, "serialize comes from the wire");
         let snap = archline_obs::metrics::snapshot();
         assert!(!snap.histograms.iter().any(|s| s.name.starts_with("serve.")));

@@ -60,8 +60,9 @@ fn serve_command(args: &[&str]) -> Command {
 
 #[test]
 fn bad_and_removed_flags_exit_2_before_binding() {
-    let cases: [&[&str]; 5] = [
+    let cases: [&[&str]; 6] = [
         &["--flight-recorder", "x.jsonl"],
+        &["--max-batch", "4"],
         &["--deadline-ms", "0"],
         &["--shards", "0"],
         &["--metrics", "maybe"],

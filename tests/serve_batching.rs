@@ -1,35 +1,36 @@
-//! Batching-invariance property suite: queue-depth batching must be
-//! *invisible* in the answers. Every request in a batch is evaluated on
-//! the plan compiled at its admission, under its own panic guard.
+//! Queue-depth invariance property suite: how deep a shard's queue runs
+//! must be *invisible* in the answers. A worker picks one request at a
+//! time and evaluates it on the plan compiled at its admission, under its
+//! own panic guard.
 //!
-//! A worker never holds a batch open; it dispatches whatever its queue
-//! holds. So every multi-request case first submits a busy head request
-//! (a `MAX_WIRE_POINTS` sweep) to the single shard and then submits the
-//! rest while the worker is busy with it: they wait in the queue and
-//! drain as one batch. Each such case asserts a mean batch occupancy above
-//! 1.5, so none can silently decay to one request per batch.
+//! Every deep-queue case first submits a busy head request (a
+//! `MAX_WIRE_POINTS` sweep) to the single shard and then submits the rest
+//! while the worker is busy with it, so they wait in the queue and are
+//! picked one after another. The reference serves each request alone
+//! (submit and wait, nothing queued around it).
 //!
-//! * **Bit-identity vs `max_batch = 1`** — the same workload served by a
-//!   strict one-request-per-batch engine and by a wide engine (batches
-//!   coalesced across requests, each on the plan compiled at admission)
-//!   produces byte-for-byte identical answers, for every query kind:
-//!   point evals, all three sweep metrics (small grids and, per metric, one
-//!   grid on the parallel side of `PAR_THRESHOLD`), crossovers, and
-//!   what-if cap overrides that multiply the distinct-plan count. Every
-//!   sweep answer also equals the grid and serial kernel evaluated
-//!   directly on the plan.
+//! * **Bit-identity vs one request at a time** — the same workload served
+//!   alone and drained from a deep queue produces byte-for-byte identical
+//!   answers, for every query kind: point evals, all three sweep metrics
+//!   (small grids and, per metric, one grid on the parallel side of
+//!   `PAR_THRESHOLD`), crossovers, and what-if cap overrides that multiply
+//!   the distinct-plan count. Every sweep answer also equals the grid and
+//!   serial kernel evaluated directly on the plan.
 //! * **Poisoned-request isolation** — a sweep or crossover whose grid
 //!   panics fails alone, with a typed `Internal` answer, one caught panic
-//!   and one breaker failure; its batchmates on the same plan answer as
-//!   usual. So does an eval whose fault-injected results fail
+//!   and one breaker failure; the requests queued with it on the same plan
+//!   answer as usual. So does an eval whose fault-injected results fail
 //!   verification.
 //! * **Deadlines** — an already-expired request is answered with a typed
-//!   `DeadlineExceeded` at the batch boundary.
-//! * **Many plans in one batch** — a batch where every request carries a
-//!   distinct plan still answers every request correctly and
+//!   `DeadlineExceeded` when a worker picks it.
+//! * **Many plans in one queue** — a deep queue where every request
+//!   carries a distinct plan still answers every request correctly and
 //!   bit-identically to direct plan evaluation.
-//! * **Batch accounting** — every request, the busy head included, is
-//!   counted in exactly one batch however the requests shared batches.
+//! * **Accounting** — every request, the busy head included, is accepted
+//!   and completed exactly once.
+//! * **Phase truth** — one worker's `kernel` intervals never overlap, so
+//!   their sum fits in the client's wall time; `window` is always 0 and
+//!   `total` is exactly `queue + kernel`.
 //! * **Telemetry invariance** — serving with the telemetry plane on vs
 //!   off changes only the response envelope (trace ids, `phases_us`),
 //!   never a result bit.
@@ -40,6 +41,9 @@ use archline_core::RooflinePlan;
 use archline_faults::{FaultClass, FaultPlan, FaultSpec};
 use archline_platforms::{all_platforms, Precision};
 use archline_serve::protocol::MAX_WIRE_POINTS;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
+
 use archline_serve::{
     BreakerState, CapOverride, Query, QueryResult, Reject, Request, ServeConfig, ServeHandle,
     Server, SweepMetric,
@@ -136,8 +140,8 @@ fn busy_head() -> Request {
 
 /// Serves the whole workload behind a [`busy_head`] (submit the head,
 /// then everything else, then wait), so a single-shard engine finds the
-/// workload queued and drains it in wide batches. Returns the workload's
-/// answers sorted by id and the drained engine, for its stats.
+/// workload queued and drains it from a deep queue. Returns the
+/// workload's answers sorted by id and the drained engine, for its stats.
 fn serve_all(config: ServeConfig, reqs: &[Request]) -> (Answers, ServeHandle) {
     let server = Server::start(config).expect("server");
     let handle = server.handle();
@@ -149,15 +153,20 @@ fn serve_all(config: ServeConfig, reqs: &[Request]) -> (Answers, ServeHandle) {
     (out, server.shutdown())
 }
 
-/// Fails unless batches coalesced: a mean above 1.5 requests per batch,
-/// the head's batch included.
-fn assert_coalesced(after: &ServeHandle) {
-    let occupancy = after.stats().mean_batch_occupancy();
-    assert!(
-        occupancy > 1.5,
-        "requests queued behind a busy head must drain as shared batches \
-         (mean occupancy {occupancy:.2})"
-    );
+/// Serves each request alone: submit it and wait for its answer before
+/// the next, with no busy head, so nothing is ever queued around it.
+/// Returns the answers sorted by id.
+fn serve_one_at_a_time(config: ServeConfig, reqs: &[Request]) -> Answers {
+    let server = Server::start(config).expect("server");
+    let handle = server.handle();
+    let mut out: Answers = reqs.iter().map(|r| (r.id, handle.query(r.clone()).result)).collect();
+    out.sort_by_key(|(id, _)| *id);
+    server.shutdown();
+    out
+}
+
+fn load(c: &AtomicU64) -> u64 {
+    c.load(Ordering::Relaxed)
 }
 
 /// Bit-level equality: f64s compare by `to_bits`, so `-0.0` vs `0.0` or
@@ -229,28 +238,24 @@ fn assert_sweep_matches_plan(r: &Request, result: &Result<QueryResult, Reject>) 
     assert_eq!(bits(value), bits(&want), "sweep {}: value bits", r.id);
 }
 
-/// One shard + `max_batch = 1`: the strictest possible serving mode —
-/// every request is its own kernel pass.
-fn unbatched_config() -> ServeConfig {
-    ServeConfig { shards: 1, max_batch: 1, ..ServeConfig::default() }
+fn one_shard() -> ServeConfig {
+    ServeConfig { shards: 1, ..ServeConfig::default() }
 }
 
 #[test]
 fn windowed_packed_serving_is_bit_identical_to_unbatched() {
     let reqs = workload();
-    let (reference, _) = serve_all(unbatched_config(), &reqs);
+    let reference = serve_one_at_a_time(one_shard(), &reqs);
     for (r, (id, answer)) in reqs.iter().zip(&reference) {
         assert_eq!(r.id, *id);
         assert_sweep_matches_plan(r, answer);
     }
 
-    // One shard forces every plan through the same worker; the queued
-    // workload fills wide batches.
-    let wide = ServeConfig { shards: 1, max_batch: 64, ..ServeConfig::default() };
-    let (batched, after) = serve_all(wide, &reqs);
-    assert_coalesced(&after);
-    assert_eq!(reference.len(), batched.len());
-    for ((id_a, a), (id_b, b)) in reference.iter().zip(&batched) {
+    // One shard forces every plan through the same worker, which drains
+    // the whole workload from a deep queue.
+    let (queued, _) = serve_all(one_shard(), &reqs);
+    assert_eq!(reference.len(), queued.len());
+    for ((id_a, a), (id_b, b)) in reference.iter().zip(&queued) {
         assert_eq!(id_a, id_b);
         assert_bits_equal(*id_a, a, b);
     }
@@ -299,9 +304,10 @@ fn telemetry_on_and_off_answer_bit_identically() {
     assert!(with.result.is_ok(), "{:?}", with.result);
     assert!(with.trace.is_some(), "telemetry on mints a trace");
     let phases = with.phases.expect("telemetry on attaches phases");
+    assert_eq!(phases.window_us, 0, "there is no window phase");
     assert_eq!(
         phases.total_us,
-        phases.queue_us + phases.window_us + phases.kernel_us,
+        phases.queue_us + phases.kernel_us,
         "phase decomposition must sum exactly to the total"
     );
     let without = probe(false);
@@ -312,30 +318,71 @@ fn telemetry_on_and_off_answer_bit_identically() {
 
 #[test]
 fn windowed_serving_actually_coalesces() {
-    // Not just invisible — queue depth must buy real occupancy: 128
-    // requests queued behind a busy head drain in batches of up to 64.
+    // 128 requests queued behind a busy head all answer, and the books
+    // close: each one, the head included, is accepted and completed once.
     let reqs: Vec<Request> =
         (0..128).map(|i| req(i + 1, "GTX Titan", eval_query(16, 1.0))).collect();
-    let (answers, after) =
-        serve_all(ServeConfig { shards: 1, max_batch: 64, ..ServeConfig::default() }, &reqs);
+    let (answers, after) = serve_all(one_shard(), &reqs);
     for (id, result) in &answers {
         assert!(result.is_ok(), "request {id}: {result:?}");
     }
-    assert_coalesced(&after);
-    // Accounting identity: every request is counted in exactly one batch,
-    // the busy head included, however the requests shared batches.
-    assert_eq!(
-        after.stats().batched_requests.load(std::sync::atomic::Ordering::Relaxed),
-        129,
-        "128 requests plus the head, one batch slot each"
+    let stats = after.stats();
+    assert_eq!(load(&stats.accepted), 129, "128 requests plus the head");
+    assert_eq!(load(&stats.completed), 129, "128 requests plus the head");
+}
+
+#[test]
+fn kernel_phases_of_one_worker_never_overlap() {
+    // One worker answers one request at a time, so the `kernel` intervals
+    // (pick to answer) of its requests are disjoint and all lie inside
+    // the client's wall time from the first submit to the last answer.
+    // Their sum therefore fits in that wall time — unless a request's
+    // kernel phase also counts time spent on other requests.
+    let server = Server::start(one_shard()).expect("server");
+    let handle = server.handle();
+    let sweeps: Vec<Request> = (0..32)
+        .map(|i| {
+            req(i + 1, "GTX Titan", Query::Sweep {
+                metric: SweepMetric::Perf,
+                lo: 0.1,
+                hi: 100.0,
+                points: 1 << 15,
+            })
+        })
+        .collect();
+    let start = Instant::now();
+    let head = handle.submit(busy_head());
+    let tickets: Vec<_> = sweeps.into_iter().map(|r| handle.submit(r)).collect();
+    let answers: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
+    let head = head.wait();
+    let wall_us = start.elapsed().as_micros() as u64;
+    server.shutdown();
+
+    let phases: Vec<_> = answers
+        .iter()
+        .chain([&head])
+        .map(|resp| {
+            assert!(resp.result.is_ok(), "request {}: {:?}", resp.id, resp.result);
+            (resp.id, resp.phases.expect("telemetry is on"))
+        })
+        .collect();
+    let kernel_sum: u64 =
+        phases.iter().filter(|(id, _)| *id != 0).map(|(_, ph)| ph.kernel_us).sum();
+    assert!(
+        kernel_sum <= wall_us,
+        "the 32 kernel phases sum to {kernel_sum} us, more than the {wall_us} us wall time \
+         they all lie in"
     );
+    for (id, ph) in phases {
+        assert_eq!(ph.window_us, 0, "request {id}: {ph:?}");
+        assert_eq!(ph.total_us, ph.queue_us + ph.kernel_us, "request {id}: {ph:?}");
+    }
 }
 
 #[test]
 fn deadlines_are_honored_at_window_boundaries() {
-    // An already-expired deadline rejects typed at the batch boundary.
-    let server =
-        Server::start(ServeConfig { shards: 1, ..ServeConfig::default() }).expect("server");
+    // An already-expired deadline rejects typed when a worker picks it.
+    let server = Server::start(one_shard()).expect("server");
     let handle = server.handle();
     let mut expired = req(1, "GTX Titan", eval_query(4, 1.0));
     expired.deadline_ms = Some(0);
@@ -345,7 +392,7 @@ fn deadlines_are_honored_at_window_boundaries() {
 
 #[test]
 fn many_distinct_plans_in_one_batch_answer_correctly() {
-    // Every request in the batch carries its own plan (distinct throttle
+    // Every queued request carries its own plan (distinct throttle
     // factors), all on one shard. Answers must match direct plan
     // evaluation bit-for-bit.
     let n = 100u64;
@@ -362,9 +409,7 @@ fn many_distinct_plans_in_one_batch_answer_correctly() {
             r
         })
         .collect();
-    let (answers, after) =
-        serve_all(ServeConfig { shards: 1, max_batch: 256, ..ServeConfig::default() }, &reqs);
-    assert_coalesced(&after);
+    let (answers, _) = serve_all(one_shard(), &reqs);
     for (i, (_, result)) in answers.iter().enumerate() {
         let plan = RooflinePlan::new(params.throttled(1.0 + i as f64 * 0.25));
         let Ok(QueryResult::Eval { time, energy, power, .. }) = result else {
@@ -384,7 +429,7 @@ fn many_distinct_plans_in_one_batch_answer_correctly() {
 fn packed_sweeps_match_direct_kernel_evaluation() {
     // Beyond server-vs-server identity: sweep answers must equal the
     // *direct* kernel over the request's own grid, also when many sweeps
-    // share a batch.
+    // wait in one queue.
     let params = all_platforms()
         .into_iter()
         .find(|p| p.name == "NUC CPU")
@@ -407,8 +452,7 @@ fn packed_sweeps_match_direct_kernel_evaluation() {
             })
         })
         .collect();
-    let (answers, after) = serve_all(ServeConfig { shards: 1, ..ServeConfig::default() }, &reqs);
-    assert_coalesced(&after);
+    let (answers, _) = serve_all(one_shard(), &reqs);
     for ((_, result), r) in answers.iter().zip(&reqs) {
         let Query::Sweep { metric, lo, hi, points } = &r.query else { unreachable!() };
         let xs = sample_intensities(*lo, *hi, *points);
@@ -433,8 +477,8 @@ fn a_poisoned_sweep_fails_alone_and_its_batchmates_answer() {
     // Queued behind the busy head, on one plan: a poisoned query (a sweep
     // or a crossover whose grid panics at `lo = 0`), an eval, a good sweep
     // and a good crossover. Only the poisoned request fails; the breaker
-    // trips at two consecutive failures, so it would open if a batchmate
-    // failed with it.
+    // trips at two consecutive failures, so it would open if a request
+    // queued with it failed too.
     let poisons = [
         Query::Sweep { metric: SweepMetric::Perf, lo: 0.0, hi: 10.0, points: 64 },
         Query::Crossover {
@@ -465,16 +509,14 @@ fn a_poisoned_sweep_fails_alone_and_its_batchmates_answer() {
         ];
         let config = ServeConfig { shards: 1, breaker_trip: 2, ..ServeConfig::default() };
         let (answers, after) = serve_all(config.clone(), &reqs);
-        assert_coalesced(&after);
         let want = Err(Reject::Internal("panic: bad intensity range".to_string()));
         assert_eq!(answers[0].1, want, "the poisoned request gets a typed internal answer");
         let stats = after.stats();
-        let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
         assert_eq!(load(&stats.panics_caught), 1, "one poisoned request, one caught panic");
         assert_eq!(load(&stats.failed), 1, "one poisoned request, one failure");
         assert_eq!(after.breaker_state(0), BreakerState::Closed, "one failure does not trip the breaker");
 
-        let (reference, _) = serve_all(ServeConfig { max_batch: 1, ..config }, &reqs);
+        let reference = serve_one_at_a_time(config, &reqs);
         assert_eq!(reference[0].1, want);
         for ((id, a), (_, b)) in answers.iter().zip(&reference).skip(1) {
             assert_bits_equal(*id, a, b);
@@ -488,8 +530,8 @@ fn a_sabotaged_eval_fails_alone_and_its_batchmates_answer() {
     // Chaos mode drops every one of the platform's eval results, so the
     // eval fails verification. Queued behind the busy head on the same
     // plan, a sweep and a crossover (never injected) must still answer,
-    // bit-identically to one-request batches; the breaker trips at two
-    // consecutive failures, so it would open if a batchmate failed too.
+    // bit-identically to serving each alone; the breaker trips at two
+    // consecutive failures, so it would open if another request failed too.
     let reqs = vec![
         req(1, "NUC CPU", eval_query(16, 1.0)),
         req(2, "NUC CPU", Query::Sweep {
@@ -516,17 +558,15 @@ fn a_sabotaged_eval_fails_alone_and_its_batchmates_answer() {
         ..ServeConfig::default()
     };
     let (answers, after) = serve_all(config.clone(), &reqs);
-    assert_coalesced(&after);
     let want =
         Err(Reject::Internal("injected corruption changed the result count (16 -> 0)".to_string()));
     assert_eq!(answers[0].1, want, "the sabotaged eval gets a typed internal answer");
     let stats = after.stats();
-    let load = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
     assert_eq!(load(&stats.failed), 1, "one sabotaged eval, one failure");
     assert_eq!(load(&stats.panics_caught), 0, "verification fails typed, not by panic");
     assert_eq!(after.breaker_state(0), BreakerState::Closed, "one failure does not trip the breaker");
 
-    let (reference, _) = serve_all(ServeConfig { max_batch: 1, ..config }, &reqs);
+    let reference = serve_one_at_a_time(config, &reqs);
     assert_eq!(reference[0].1, want);
     for ((id, a), (_, b)) in answers.iter().zip(&reference).skip(1) {
         assert_bits_equal(*id, a, b);

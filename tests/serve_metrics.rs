@@ -1,8 +1,10 @@
 //! Telemetry-plane wire contract: a live NDJSON/TCP server must
-//! round-trip client trace ids, expose `uptime_s` and per-shard queue
-//! depths on the stats op, and answer `{"op":"metrics"}` with a
-//! Prometheus text exposition whose per-phase histogram `_count` equals
-//! the queries it actually served — its own, not another server's.
+//! round-trip client trace ids, attach a `phases_us` object whose
+//! `window` is 0, expose `uptime_s` and per-shard queue depths on the
+//! stats op, and answer `{"op":"metrics"}` with a Prometheus text
+//! exposition whose per-phase histogram `_count` equals the queries it
+//! actually served — its own, not another server's — with no window or
+//! batch-occupancy series.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -165,6 +167,7 @@ fn live_server_traces_stats_and_prometheus_metrics() {
     for key in ["queue", "window", "kernel", "serialize", "total"] {
         assert!(phases.contains_key(key), "phases_us missing `{key}`: {phases:?}");
     }
+    assert_eq!(get_u64(phases, "window"), Some(0), "the window phase is always 0: {phases:?}");
 
     let resp = client.roundtrip(
         r#"{"id":2,"platform":"GTX Titan","query":{"kind":"eval","flops":[1e9],"bytes":[1e8]}}"#,
@@ -200,6 +203,10 @@ fn live_server_traces_stats_and_prometheus_metrics() {
     assert_eq!(get_u64(result, "accepted"), Some(expected), "{result:?}");
     assert_eq!(get_u64(result, "failed"), Some(0), "{result:?}");
     assert!(!result.contains_key("retries"), "retries are not exposed: {result:?}");
+    assert!(
+        !result.contains_key("mean_batch_occupancy"),
+        "batch occupancy is not exposed: {result:?}"
+    );
     match result.get("uptime_s") {
         Some(Value::Number(n)) => assert!(n.as_f64() >= 0.0, "uptime_s must be >= 0"),
         other => panic!("stats must report uptime_s, got {other:?}"),
@@ -250,7 +257,7 @@ fn live_server_traces_stats_and_prometheus_metrics() {
     };
 
     // Every phase histogram carries the same count as queries served.
-    for phase in ["queue", "window", "kernel", "serialize", "total"] {
+    for phase in ["queue", "kernel", "serialize", "total"] {
         let name = format!("serve_phase_{phase}_us_eval");
         let count = prom.get(&format!("{name}_count")).copied().unwrap_or(-1.0);
         assert_eq!(
@@ -258,6 +265,14 @@ fn live_server_traces_stats_and_prometheus_metrics() {
             "{name}_count must equal queries served ({expected})"
         );
         assert_histogram_shape(&prom, &name);
+    }
+    // The window phase is always 0, and a worker picks one request at a
+    // time, so neither has a histogram.
+    for gone in ["serve_phase_window_us_", "serve_batch_occupancy"] {
+        assert!(
+            !prom.keys().any(|k| k.starts_with(gone)),
+            "no `{gone}*` series may be exposed"
+        );
     }
     // The JSON flavor agrees with the text flavor.
     let h = json
