@@ -1,10 +1,13 @@
-//! `bench_report` — measures the batch-evaluation speedups and writes
-//! `BENCH_model.json` (schema v9, see [`archline_bench::BENCH_SCHEMA_VERSION`])
-//! into the current directory (the repo root in CI).
+//! `bench_report` — measures the batch-evaluation kernels against their
+//! per-point scalar paths, and the blocked SGEMM against the seed's branchy
+//! variant, in the same run, and writes `BENCH_model.json` (schema
+//! `SCHEMA_VERSION`) into the current directory. CI's perf smoke gate reads
+//! the ratios; each is taken on one machine in one run, so it means something
+//! on any runner.
 //!
-//! Per batch kernel (`avg_power`, `time_energy`, the fused `evaluate`,
-//! `perf`, `energy_eff`), three measurements bracket the claim over the
-//! same 10⁶-point log-spaced sweep:
+//! Per batch kernel (`avg_power`, `time_energy`, the fused `evaluate`, its
+//! L2-resident `evaluate_cached` view, `perf`, `energy_eff`), three
+//! measurements bracket the claim over the same 10⁶-point log-spaced sweep:
 //! - `scalar`: today's per-point plan-backed calls (inputs `black_box`ed per
 //!   call, so the compiler cannot turn the baseline loop into the batch
 //!   kernel);
@@ -12,27 +15,26 @@
 //! - `batch_par`: the adaptive-grain executor path (identical code to
 //!   `batch` when one worker).
 //!
-//! The headline `speedup_batch_vs_scalar` is the fused `evaluate` sweep —
-//! the shape the fit objective and the figure artifacts actually run — not
-//! the underived-baseline ratio (still recorded as
-//! `speedup_batch_vs_scalar_underived` for continuity with schema v2).
 //! The GEMM section measures the branchless blocked SGEMM *and* the seed's
 //! branchy zero-skip variant from the same workspace so a regression in
 //! either direction stays visible.
+//!
+//! Serve throughput is perfbench's (`serve-eval`, `wire-mixed`), gated in
+//! CI against the parent commit by `ci/perf_pair.py`.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use archline_bench::{prior_schema_warning, BENCH_SCHEMA_VERSION};
-use archline_serve::{Phases, Query, Request, ServeConfig, Server};
-use archline_core::{plan::PAR_THRESHOLD, EnergyRoofline, MachineParams, Regime};
-use archline_fit::{try_fit_platform, FitOptions};
-use archline_machine::{spec_for, Engine};
-use archline_microbench::{gemm_bench_with, run_suite, GemmWorkspace, SweepConfig};
+use archline_core::{plan::PAR_THRESHOLD, EnergyRoofline, Regime};
+use archline_microbench::{gemm_bench_with, GemmWorkspace};
 use archline_obs as obs;
 use archline_par::{adaptive_grain, num_threads};
 use archline_platforms::{platform, PlatformId, Precision};
+
+/// Schema of `BENCH_model.json`: v10 holds the provenance header, the
+/// `kernel_sweeps` and the GEMM pair (earlier versions: see the git history).
+const SCHEMA_VERSION: u64 = 10;
 
 const SWEEP_POINTS: usize = 1_000_000;
 
@@ -45,27 +47,6 @@ fn grid(n: usize) -> Vec<f64> {
     let (lo, hi) = (0.01f64, 1e4f64);
     let step = (hi / lo).ln() / (n - 1) as f64;
     (0..n).map(|k| lo * (step * k as f64).exp()).collect()
-}
-
-/// Replica of the pre-plan `avg_power_at`: balance points and pipeline
-/// powers re-derived per call, as the seed's scalar model did. Never
-/// inlined — the seed's consumers (the `dyn Fn` sweeps in fig1, the
-/// per-candidate fit objectives) paid the full derivation on every call,
-/// so the baseline must not let LICM amortize it across the loop.
-#[inline(never)]
-fn avg_power_underived(p: &MachineParams, intensity: f64) -> f64 {
-    let b = p.balances();
-    let pi_f = p.flop_power();
-    let pi_m = p.mem_power();
-    let b_tau = b.time;
-    p.const_power
-        + if intensity >= b.upper {
-            pi_f + if intensity.is_infinite() { 0.0 } else { pi_m * b_tau / intensity }
-        } else if intensity <= b.lower {
-            pi_m + pi_f * intensity / b_tau
-        } else {
-            p.cap.watts()
-        }
 }
 
 /// Measured streaming bandwidth of this machine, GB/s: best-of-`reps` fused
@@ -125,258 +106,12 @@ impl Sweep {
     }
 }
 
-/// Platforms the serve benchmarks spread their clients across, the way a
-/// mixed query stream would.
-const SERVE_PLATFORMS: [&str; 4] = ["GTX Titan", "Desktop CPU", "NUC CPU", "GTX 680"];
-
-/// Points per serve-bench eval query.
-const SERVE_EVAL_POINTS: usize = 64;
-
-fn serve_request(id: u64, platform: &str) -> Request {
-    Request {
-        id,
-        platform: platform.to_string(),
-        double_precision: false,
-        cap: None,
-        deadline_ms: None,
-        trace: None,
-        query: Query::Eval {
-            flops: (1..=SERVE_EVAL_POINTS).map(|i| 1e9 * i as f64).collect(),
-            bytes: (1..=SERVE_EVAL_POINTS).map(|i| 2e8 * i as f64).collect(),
-        },
-    }
-}
-
-/// p50/p99 of one telemetry phase across a run's responses (µs).
-struct PhasePct {
-    p50: f64,
-    p99: f64,
-}
-
-/// Per-phase latency decomposition from the responses' `phases_us`
-/// envelope (schema v6). The serialize phase is wire-level and absent
-/// from the in-process API, and `window` is always 0, so the breakdown is
-/// queue, kernel and total.
-struct PhaseBreakdown {
-    queue: PhasePct,
-    kernel: PhasePct,
-    total: PhasePct,
-}
-
-impl PhaseBreakdown {
-    fn from_samples(phases: &[Phases]) -> Option<PhaseBreakdown> {
-        if phases.is_empty() {
-            return None;
-        }
-        let pcts = |mut v: Vec<u64>| {
-            v.sort_unstable();
-            let at = |p: f64| v[((v.len() - 1) as f64 * p) as usize] as f64;
-            PhasePct { p50: at(0.50), p99: at(0.99) }
-        };
-        Some(PhaseBreakdown {
-            queue: pcts(phases.iter().map(|p| p.queue_us).collect()),
-            kernel: pcts(phases.iter().map(|p| p.kernel_us).collect()),
-            total: pcts(phases.iter().map(|p| p.total_us).collect()),
-        })
-    }
-}
-
-/// One closed-loop run's numbers.
-struct ClosedLoop {
-    clients: usize,
-    depth: usize,
-    queries: usize,
-    queries_per_sec: f64,
-    latency_p50_us: f64,
-    latency_p99_us: f64,
-    phases: Option<PhaseBreakdown>,
-}
-
-/// One arrival rate of the open-loop sweep.
-struct OpenLoopPoint {
-    offered_qps: f64,
-    achieved_qps: f64,
-    latency_p99_us: f64,
-    shed_rate: f64,
-}
-
-/// What the in-process archline-serve engine measures for the report.
-struct ServeBench {
-    headline: ClosedLoop,
-    depth1: ClosedLoop,
-    open_loop: Vec<OpenLoopPoint>,
-    overload_submitted: usize,
-    overload_shed: u64,
-}
-
-/// Closed-loop clients, each keeping `depth` requests in flight (pipelined
-/// submit-then-drain bursts). `depth = 1` is the strict one-at-a-time mode
-/// schema v4 reported; deeper pipelines keep the shard queues non-empty.
-fn serve_closed_loop(clients: usize, depth: usize, queries_per_client: usize) -> ClosedLoop {
-    let server = Server::start(ServeConfig::default()).expect("serve engine");
-    let handle = server.handle();
-    let start = Instant::now();
-    let (mut latencies, phase_samples): (Vec<u64>, Vec<Phases>) = std::thread::scope(|s| {
-        let threads: Vec<_> = (0..clients)
-            .map(|c| {
-                let handle = handle.clone();
-                let platform = SERVE_PLATFORMS[c % SERVE_PLATFORMS.len()];
-                s.spawn(move || {
-                    let mut lat = Vec::with_capacity(queries_per_client);
-                    let mut phases = Vec::with_capacity(queries_per_client);
-                    let mut q = 0;
-                    while q < queries_per_client {
-                        let burst = depth.min(queries_per_client - q);
-                        let pending: Vec<(Instant, _)> = (0..burst)
-                            .map(|i| {
-                                let id = (c * queries_per_client + q + i) as u64;
-                                (Instant::now(), handle.submit(serve_request(id, platform)))
-                            })
-                            .collect();
-                        for (t0, t) in pending {
-                            let resp = t.wait();
-                            assert!(resp.result.is_ok(), "bench query rejected: {:?}", resp.result);
-                            lat.push(t0.elapsed().as_micros() as u64);
-                            if let Some(ph) = resp.phases {
-                                phases.push(ph);
-                            }
-                        }
-                        q += burst;
-                    }
-                    (lat, phases)
-                })
-            })
-            .collect();
-        let mut all_lat = Vec::new();
-        let mut all_phases = Vec::new();
-        for t in threads {
-            let (lat, phases) = t.join().expect("client thread");
-            all_lat.extend(lat);
-            all_phases.extend(phases);
-        }
-        (all_lat, all_phases)
-    });
-    let secs = start.elapsed().as_secs_f64();
-    server.shutdown();
-    latencies.sort_unstable();
-    let pct = |p: f64| latencies[((latencies.len() - 1) as f64 * p) as usize] as f64;
-    ClosedLoop {
-        clients,
-        depth,
-        queries: clients * queries_per_client,
-        queries_per_sec: (clients * queries_per_client) as f64 / secs,
-        latency_p50_us: pct(0.50),
-        latency_p99_us: pct(0.99),
-        phases: PhaseBreakdown::from_samples(&phase_samples),
-    }
-}
-
-/// Open loop at a fixed arrival rate: a submitter paces bursts on a 1 ms
-/// tick regardless of completions (so queueing, shedding, and deadline
-/// pressure are the system's problem, not the client's), while a collector
-/// drains tickets in submission order. Reported latency is client-observed
-/// (submit to collected answer) — an honest upper bound under pipelining.
-fn serve_open_loop(rate: f64) -> OpenLoopPoint {
-    const TICK: Duration = Duration::from_millis(1);
-    const DURATION_SECS: f64 = 0.4;
-    let server = Server::start(ServeConfig::default()).expect("serve engine");
-    let handle = server.handle();
-    let total = (rate * DURATION_SECS) as usize;
-    let per_tick = ((rate * TICK.as_secs_f64()) as usize).max(1);
-    let (tx, rx) = std::sync::mpsc::channel();
-    let start = Instant::now();
-    let (completed, mut latencies): (u64, Vec<u64>) = std::thread::scope(|s| {
-        let submit_handle = handle.clone();
-        s.spawn(move || {
-            let mut sent = 0usize;
-            let mut tick_idx = 0u32;
-            while sent < total {
-                let burst = per_tick.min(total - sent);
-                for i in 0..burst {
-                    let id = (sent + i) as u64;
-                    let platform = SERVE_PLATFORMS[(sent + i) % SERVE_PLATFORMS.len()];
-                    let ticket = submit_handle.submit(serve_request(id, platform));
-                    if tx.send((Instant::now(), ticket)).is_err() {
-                        return;
-                    }
-                }
-                sent += burst;
-                tick_idx += 1;
-                if let Some(d) =
-                    (start + TICK * tick_idx).checked_duration_since(Instant::now())
-                {
-                    std::thread::sleep(d);
-                }
-            }
-        });
-        let mut completed = 0u64;
-        let mut lat = Vec::with_capacity(total);
-        for (t0, ticket) in rx {
-            if ticket.wait().result.is_ok() {
-                completed += 1;
-                lat.push(t0.elapsed().as_micros() as u64);
-            }
-        }
-        (completed, lat)
-    });
-    let secs = start.elapsed().as_secs_f64();
-    let after = server.shutdown();
-    let stats = after.stats();
-    latencies.sort_unstable();
-    let p99 = if latencies.is_empty() {
-        0.0
-    } else {
-        latencies[((latencies.len() - 1) as f64 * 0.99) as usize] as f64
-    };
-    let shed = stats.shed.load(std::sync::atomic::Ordering::Relaxed);
-    OpenLoopPoint {
-        offered_qps: rate,
-        achieved_qps: completed as f64 / secs,
-        latency_p99_us: p99,
-        shed_rate: shed as f64 / (total as f64).max(1.0),
-    }
-}
-
-/// Drives an in-process archline-serve engine four ways: a pipelined
-/// closed loop (the headline — concurrent load that keeps the shard
-/// queues non-empty), the strict depth-1 closed loop
-/// schema v4 reported (continuity), an open-loop arrival-rate sweep
-/// (offered vs achieved qps through saturation), and a deliberate
-/// overload burst against a small queue for the shed rate (a shed rate of
-/// zero would mean admission control never engaged).
-fn serve_bench() -> ServeBench {
-    let headline = serve_closed_loop(4, 16, 16_000);
-    let depth1 = serve_closed_loop(4, 1, 2_000);
-    let open_loop = [50_000.0, 150_000.0, 450_000.0].iter().map(|&r| serve_open_loop(r)).collect();
-
-    // Shed rate under deliberate overload (tiny queue, one shard, un-paced
-    // burst).
-    let overload =
-        Server::start(ServeConfig { shards: 1, queue_bound: 32, ..ServeConfig::default() })
-            .expect("overload engine");
-    let ohandle = overload.handle();
-    let submitted = 2_000;
-    let tickets: Vec<_> =
-        (0..submitted).map(|i| ohandle.submit(serve_request(i as u64, "Xeon Phi"))).collect();
-    for t in tickets {
-        let _ = t.wait();
-    }
-    let shed = overload.shutdown().stats().shed.load(std::sync::atomic::Ordering::Relaxed);
-
-    ServeBench { headline, depth1, open_loop, overload_submitted: submitted, overload_shed: shed }
-}
-
 fn main() {
     obs::set_stderr_level(Some(obs::Level::Info));
-    if let Err(e) = obs::init_from_env() {
-        obs::error!("bench", "bench_report: {e}");
-        std::process::exit(2);
-    }
 
     let model = EnergyRoofline::new(
         platform(PlatformId::GtxTitan).machine_params(Precision::Single).expect("single"),
     );
-    let params = *model.params();
     let plan = *model.plan();
     let n = SWEEP_POINTS;
     let xs = grid(n);
@@ -391,12 +126,6 @@ fn main() {
 
     obs::info!("bench", "bench_report: 10^6-point kernel sweeps ({reps} reps each)...");
     let bw_gbps = streaming_bw_gbps(reps, &flops, &bytes, &mut out);
-    let t_underived = best_secs(reps, || {
-        for (o, &x) in out.iter_mut().zip(&xs) {
-            *o = avg_power_underived(black_box(&params), black_box(x));
-        }
-        black_box(&out);
-    });
 
     let avg_power = Sweep {
         scalar: best_secs(reps, || {
@@ -567,20 +296,6 @@ fn main() {
         }),
     };
 
-    obs::info!("bench", "bench_report: end-to-end fit_platform...");
-    let spec = spec_for(&platform(PlatformId::ArndaleGpu), Precision::Single);
-    let cfg = SweepConfig {
-        points: 17,
-        target_secs: 0.04,
-        level_runs: 1,
-        random_runs: 1,
-        ..Default::default()
-    };
-    let suite = run_suite(&spec, &cfg, &Engine::default()).dram;
-    let t_fit = best_secs(3, || {
-        black_box(try_fit_platform(black_box(&suite), &FitOptions::default()).expect("fit"));
-    });
-
     obs::info!("bench", "bench_report: blocked SGEMM (branchless vs branchy replica)...");
     let n_gemm = 256;
     let mut ws = GemmWorkspace::new(n_gemm);
@@ -606,15 +321,8 @@ fn main() {
     };
     let gflops = |secs: f64| 2.0 * (n_gemm as f64).powi(3) / secs / 1e9;
 
-    obs::info!(
-        "bench",
-        "bench_report: archline-serve engine (pipelined + depth-1 closed loop, \
-         open-loop rate sweep, overload burst)..."
-    );
-    let serve = serve_bench();
-
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema_version\": {BENCH_SCHEMA_VERSION},");
+    let _ = writeln!(json, "  \"schema_version\": {SCHEMA_VERSION},");
     if let Some(rev) = obs::git_revision() {
         let _ = writeln!(json, "  \"git_rev\": \"{rev}\",");
     }
@@ -623,35 +331,6 @@ fn main() {
     let _ = writeln!(json, "  \"par_grain\": {},", adaptive_grain(SWEEP_POINTS));
     let _ = writeln!(json, "  \"par_threshold\": {PAR_THRESHOLD},");
     let _ = writeln!(json, "  \"streaming_bw_gbps\": {bw_gbps:.1},");
-    // Headline: the fused sweep the fit objective and artifacts actually
-    // run, against the *derived* per-point scalar path.
-    let _ = writeln!(
-        json,
-        "  \"speedup_batch_vs_scalar\": {:.3},",
-        evaluate.scalar / evaluate.batch
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_batch_par_vs_batch\": {:.3},",
-        evaluate.batch / evaluate.batch_par
-    );
-    // The same fused kernel with its working set inside L2: what the kernel
-    // does when DRAM is not the limiter (small fit suites, figure grids).
-    let _ = writeln!(
-        json,
-        "  \"speedup_batch_vs_scalar_cached\": {:.3},",
-        evaluate_cached.scalar / evaluate_cached.batch
-    );
-    let _ = writeln!(
-        json,
-        "  \"scalar_underived_mpts_per_sec\": {:.3},",
-        mpts(SWEEP_POINTS, t_underived)
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_batch_vs_scalar_underived\": {:.3},",
-        t_underived / avg_power.batch
-    );
     let _ = writeln!(json, "  \"kernel_sweeps\": {{");
     avg_power.write_json(&mut json, "avg_power", true);
     time_energy.write_json(&mut json, "time_energy", true);
@@ -660,79 +339,15 @@ fn main() {
     perf.write_json(&mut json, "perf", true);
     energy_eff.write_json(&mut json, "energy_eff", false);
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"fit_platform_ms\": {:.3},", t_fit * 1e3);
     let _ = writeln!(json, "  \"gemm_n{n_gemm}_block64\": {{");
     let _ = writeln!(json, "    \"branchy_gflops\": {:.3},", gflops(branchy_secs));
     let _ = writeln!(json, "    \"branchless_gflops\": {:.3}", branchless.gflops());
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"serve\": {{");
-    let h = &serve.headline;
-    let _ = writeln!(json, "    \"clients\": {},", h.clients);
-    let _ = writeln!(json, "    \"depth\": {},", h.depth);
-    let _ = writeln!(json, "    \"queries\": {},", h.queries);
-    let _ = writeln!(json, "    \"queries_per_sec\": {:.1},", h.queries_per_sec);
-    let _ = writeln!(json, "    \"latency_p50_us\": {:.1},", h.latency_p50_us);
-    let _ = writeln!(json, "    \"latency_p99_us\": {:.1},", h.latency_p99_us);
-    if let Some(ph) = &h.phases {
-        let _ = writeln!(json, "    \"phases_us\": {{");
-        let phase_rows: [(&str, &PhasePct); 3] = [
-            ("queue", &ph.queue),
-            ("kernel", &ph.kernel),
-            ("total", &ph.total),
-        ];
-        for (i, (name, p)) in phase_rows.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "      \"{name}\": {{\"p50\": {:.1}, \"p99\": {:.1}}}{}",
-                p.p50,
-                p.p99,
-                if i == phase_rows.len() - 1 { "" } else { "," }
-            );
-        }
-        let _ = writeln!(json, "    }},");
-    }
-    let d1 = &serve.depth1;
-    let _ = writeln!(json, "    \"closed_loop_depth1\": {{");
-    let _ = writeln!(json, "      \"clients\": {},", d1.clients);
-    let _ = writeln!(json, "      \"queries\": {},", d1.queries);
-    let _ = writeln!(json, "      \"queries_per_sec\": {:.1},", d1.queries_per_sec);
-    let _ = writeln!(json, "      \"latency_p50_us\": {:.1},", d1.latency_p50_us);
-    let _ = writeln!(json, "      \"latency_p99_us\": {:.1}", d1.latency_p99_us);
-    let _ = writeln!(json, "    }},");
-    let _ = writeln!(json, "    \"open_loop\": [");
-    let last = serve.open_loop.len().saturating_sub(1);
-    for (i, pt) in serve.open_loop.iter().enumerate() {
-        let _ = writeln!(json, "      {{");
-        let _ = writeln!(json, "        \"offered_qps\": {:.1},", pt.offered_qps);
-        let _ = writeln!(json, "        \"achieved_qps\": {:.1},", pt.achieved_qps);
-        let _ = writeln!(json, "        \"latency_p99_us\": {:.1},", pt.latency_p99_us);
-        let _ = writeln!(json, "        \"shed_rate\": {:.3}", pt.shed_rate);
-        let _ = writeln!(json, "      }}{}", if i == last { "" } else { "," });
-    }
-    let _ = writeln!(json, "    ],");
-    let _ = writeln!(json, "    \"overload_submitted\": {},", serve.overload_submitted);
-    let _ = writeln!(json, "    \"overload_shed\": {},", serve.overload_shed);
-    let _ = writeln!(
-        json,
-        "    \"shed_rate\": {:.3}",
-        serve.overload_shed as f64 / serve.overload_submitted as f64
-    );
-    let _ = writeln!(json, "  }},");
-    // Final counter snapshot (obs writes well-formed JSON), so the report
-    // records how much measured work stands behind the numbers above.
-    json.push_str("  \"metrics\": ");
-    obs::metrics::snapshot().write_json(&mut json);
-    json.push_str("\n}\n");
+    let _ = writeln!(json, "  }}");
+    json.push_str("}\n");
 
-    if let Ok(old) = std::fs::read_to_string("BENCH_model.json") {
-        if let Some(w) = prior_schema_warning(&old, BENCH_SCHEMA_VERSION) {
-            obs::warn!("bench", "bench_report: {w}");
-        }
-    }
     std::fs::write("BENCH_model.json", &json).expect("write BENCH_model.json");
     obs::info!("bench", "wrote BENCH_model.json");
     print!("{json}");
-    obs::flush();
 }
 
 /// The seed's blocked SGEMM, zero-skip branch included — kept only so the

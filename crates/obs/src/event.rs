@@ -222,8 +222,7 @@ impl Event<'_> {
     }
 
     /// Renders this event as one JSONL line (no trailing newline).
-    /// `timing` controls whether `dur_us`/`self_us` appear.
-    pub fn render_jsonl(&self, timing: bool, out: &mut String) {
+    pub fn render_jsonl(&self, out: &mut String) {
         use std::fmt::Write as _;
         let _ = write!(out, "{{\"seq\":{},\"ev\":\"{}\"", self.seq, self.kind.name());
         let _ = write!(out, ",\"level\":\"{}\"", self.level.name());
@@ -239,15 +238,13 @@ impl Event<'_> {
         if matches!(self.kind, EventKind::SpanOpen) {
             let _ = write!(out, ",\"parent\":{}", self.parent);
         }
-        if timing {
-            if let Some(ns) = self.dur_ns {
-                out.push_str(",\"dur_us\":");
-                json::push_f64(out, ns as f64 / 1e3);
-            }
-            if let Some(ns) = self.self_ns {
-                out.push_str(",\"self_us\":");
-                json::push_f64(out, ns as f64 / 1e3);
-            }
+        if let Some(ns) = self.dur_ns {
+            out.push_str(",\"dur_us\":");
+            json::push_f64(out, ns as f64 / 1e3);
+        }
+        if let Some(ns) = self.self_ns {
+            out.push_str(",\"self_us\":");
+            json::push_f64(out, ns as f64 / 1e3);
         }
         if !self.fields.is_empty() {
             out.push_str(",\"fields\":{");
@@ -320,17 +317,15 @@ mod tests {
             msg: None,
         };
         let mut out = String::new();
-        ev.render_jsonl(true, &mut out);
+        ev.render_jsonl(&mut out);
         assert_eq!(
             out,
             "{\"seq\":42,\"ev\":\"event\",\"level\":\"debug\",\"target\":\"fault\",\
              \"name\":\"injected\",\"fields\":{\"class\":\"spike\",\"seed\":7,\"sev\":0.25}}"
         );
-    }
 
-    #[test]
-    fn timing_fields_are_suppressible() {
-        let ev = Event {
+        // A span-close event carries its wall-time fields.
+        let close = Event {
             seq: 1,
             kind: EventKind::SpanClose,
             level: Level::Trace,
@@ -343,14 +338,10 @@ mod tests {
             fields: &[],
             msg: None,
         };
-        let mut with = String::new();
-        ev.render_jsonl(true, &mut with);
-        assert!(with.contains("\"dur_us\":1.5"), "{with}");
-        assert!(with.contains("\"self_us\":1.0"), "{with}");
-        let mut without = String::new();
-        ev.render_jsonl(false, &mut without);
-        assert!(!without.contains("dur_us"), "{without}");
-        assert!(!without.contains("self_us"), "{without}");
+        let mut out = String::new();
+        close.render_jsonl(&mut out);
+        assert!(out.contains("\"dur_us\":1.5"), "{out}");
+        assert!(out.contains("\"self_us\":1.0"), "{out}");
     }
 
     #[test]

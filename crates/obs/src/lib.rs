@@ -24,9 +24,7 @@
 //! JSONL events are keyed by a process-wide monotonic sequence number —
 //! never by wall-clock time — so two traces of the same run are diffable
 //! after a stable sort on `seq`. Durations appear only as *data* fields
-//! (`dur_us`/`self_us`) and can be suppressed entirely with
-//! `ARCHLINE_TRACE_TIMING=0` for byte-diffable traces (single-threaded
-//! runs; with the work-stealing executor the interleaving itself varies).
+//! (`dur_us`/`self_us` on span-close events).
 //!
 //! # Overhead
 //!
@@ -34,8 +32,8 @@
 //! entry point reduces to one or two relaxed atomic loads: [`span`] returns
 //! an inert guard without reading the clock, the logging macros skip their
 //! `format!`, and events are dropped before any allocation. Counters always
-//! count (a relaxed `fetch_add`); `crates/bench/benches/obs.rs` pins these
-//! costs.
+//! count (a relaxed `fetch_add`). perfbench's `obs.telemetry_cost_pct`
+//! measures what the serve engine's telemetry costs end to end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +56,7 @@ pub use scope::{current_scope, Scope, ScopeGuard};
 pub use sink::{install_sink, remove_sink, CaptureSink, JsonlSink, Sink, SinkId};
 pub use span::{span, span_with, wait, Span};
 
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Severity / verbosity of a log line, event, or span.
 ///
@@ -102,18 +100,6 @@ impl Level {
             _ => None,
         }
     }
-
-    /// Converts the numeric representation back to a level.
-    pub fn from_u8(v: u8) -> Option<Level> {
-        match v {
-            1 => Some(Level::Error),
-            2 => Some(Level::Warn),
-            3 => Some(Level::Info),
-            4 => Some(Level::Debug),
-            5 => Some(Level::Trace),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for Level {
@@ -125,9 +111,6 @@ impl std::fmt::Display for Level {
 /// Cached maximum level any sink wants — the one atomic the disabled fast
 /// path reads. 0 means "nothing listening".
 static MAX_LEVEL: AtomicU8 = AtomicU8::new(0);
-
-/// Whether JSONL events include wall-time duration fields.
-static TIMING: AtomicBool = AtomicBool::new(true);
 
 /// `true` when anything (any sink) would accept an event at `level`.
 /// One relaxed load — this is the hot-path gate.
@@ -144,19 +127,6 @@ pub(crate) fn set_max_level(v: u8) {
     MAX_LEVEL.store(v, Ordering::Relaxed);
 }
 
-/// Whether JSONL sinks include `dur_us`/`self_us` fields (default yes;
-/// `ARCHLINE_TRACE_TIMING=0` turns them off for byte-diffable traces).
-pub fn timing_fields() -> bool {
-    // ordering: Relaxed — standalone format flag; no dependent data.
-    TIMING.load(Ordering::Relaxed)
-}
-
-/// Sets whether JSONL events carry wall-time duration fields.
-pub fn set_timing_fields(on: bool) {
-    // ordering: Relaxed — standalone format flag; no dependent data.
-    TIMING.store(on, Ordering::Relaxed);
-}
-
 /// Sets the built-in stderr sink's verbosity. `None` silences it.
 pub fn set_stderr_level(level: Option<Level>) {
     sink::set_stderr_level(level);
@@ -168,15 +138,9 @@ pub fn set_stderr_level(level: Option<Level>) {
 /// * `ARCHLINE_LOG=<error|warn|info|debug|trace>` — set the stderr
 ///   verbosity (leaves it untouched when unset, so binaries keep the
 ///   default they chose).
-/// * `ARCHLINE_TRACE_TIMING=0` — omit wall-time fields from JSONL events.
 ///
 /// Returns an error string when `ARCHLINE_TRACE` names an unwritable path.
 pub fn init_from_env() -> Result<(), String> {
-    if let Ok(v) = std::env::var("ARCHLINE_TRACE_TIMING") {
-        if v == "0" || v.eq_ignore_ascii_case("false") {
-            set_timing_fields(false);
-        }
-    }
     if let Ok(level) = std::env::var("ARCHLINE_LOG") {
         match Level::parse(&level) {
             Some(l) => set_stderr_level(Some(l)),
@@ -303,10 +267,8 @@ mod tests {
         assert!(Level::Error < Level::Trace);
         for l in [Level::Error, Level::Warn, Level::Info, Level::Debug, Level::Trace] {
             assert_eq!(Level::parse(l.name()), Some(l));
-            assert_eq!(Level::from_u8(l as u8), Some(l));
         }
         assert_eq!(Level::parse("loud"), None);
-        assert_eq!(Level::from_u8(0), None);
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl Sink for JsonlSink {
 
     fn emit(&self, ev: &Event<'_>) {
         let mut line = String::with_capacity(128);
-        ev.render_jsonl(crate::timing_fields(), &mut line);
+        ev.render_jsonl(&mut line);
         line.push('\n');
         let mut w = self.w.lock().unwrap_or_else(|e| e.into_inner());
         let _ = w.write_all(line.as_bytes());

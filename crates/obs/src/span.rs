@@ -165,11 +165,6 @@ pub fn wait<T>(f: impl FnOnce() -> T) -> T {
 }
 
 impl Span {
-    /// Whether this span is live (a sink or the profiler is watching).
-    pub fn is_active(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// This span's id (0 when inert).
     pub fn id(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.id)
@@ -284,8 +279,8 @@ mod tests {
     fn inert_span_when_disabled() {
         // Outside `capture` no sink is installed by this test; if another
         // test's capture window overlaps, the span may be live — both are
-        // valid, the call just must be cheap and not panic.
+        // valid, opening and dropping it just must not panic.
         let s = span(Level::Trace, "test", "maybe");
-        let _ = s.is_active();
+        drop(s);
     }
 }

@@ -161,7 +161,7 @@ fn main() {
 
     // Observability: Info on stderr preserves the pre-obs output
     // ([time] lines, error reports, the failure summary). The environment
-    // (ARCHLINE_LOG / ARCHLINE_TRACE / ARCHLINE_TRACE_TIMING) applies
+    // (ARCHLINE_LOG / ARCHLINE_TRACE) applies
     // next; explicit flags win over both.
     obs::set_stderr_level(Some(obs::Level::Info));
     if let Err(e) = obs::init_from_env() {

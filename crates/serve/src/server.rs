@@ -429,12 +429,6 @@ impl ServeHandle {
         Ok((params_key(plan.params()) % self.inner.config.shards as u64) as usize)
     }
 
-    /// Still accepting new work?
-    pub fn is_accepting(&self) -> bool {
-        // ordering: Acquire — pairs with the Release store in `shutdown`.
-        self.inner.accepting.load(Ordering::Acquire)
-    }
-
     /// Submits a request; every outcome — including immediate typed
     /// rejection — arrives through the returned [`Ticket`].
     pub fn submit(&self, req: Request) -> Ticket {
