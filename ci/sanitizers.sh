@@ -1,6 +1,6 @@
 #!/bin/sh
 # Optional dynamic-analysis suite:
-#   1. ThreadSanitizer over archline-par (executor/pool/scope) and the
+#   1. ThreadSanitizer over archline-par (executor/scope) and the
 #      serve chaos tests — the crates whose atomic orderings archline-lint
 #      audits statically get their happens-before edges checked dynamically.
 #   2. Miri over the archline-core plan kernels — UB check on the one

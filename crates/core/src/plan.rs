@@ -40,10 +40,7 @@
 //! deviations between any two paths in this crate — scalar, batch, serial,
 //! and parallel all share the canonical form bit-for-bit.
 
-use archline_par::{
-    adaptive_grain, parallel_chunks_mut, parallel_chunks_mut2, parallel_chunks_mut3,
-    parallel_chunks_mut4,
-};
+use archline_par::{adaptive_grain, parallel_chunks_mut, parallel_jobs};
 
 use crate::crossover::Metric;
 use crate::error::ModelError;
@@ -53,7 +50,7 @@ use crate::power::{log_point, log_range, Regime};
 /// Batch sizes at or above this go through `archline-par`; smaller inputs
 /// are evaluated serially (spawn/steal overhead would dominate). The chunk
 /// length itself adapts to input size and worker count — see
-/// [`archline_par::adaptive_grain`] and its `ARCHLINE_PAR_GRAIN` override.
+/// [`archline_par::adaptive_grain`].
 pub const PAR_THRESHOLD: usize = 1 << 15;
 
 /// The chunk grain when a batch is parallelized, `None` when it runs
@@ -448,15 +445,13 @@ impl RooflinePlan {
         assert_batch_lens(flops.len(), bytes.len(), t_out.len());
         assert_batch_lens(flops.len(), bytes.len(), e_out.len());
         match par_grain(t_out.len()) {
-            Some(g) => parallel_chunks_mut2(t_out, e_out, g, |idx, tc, ec| {
-                let base = idx * g;
-                self.time_energy_slice(
-                    &flops[base..base + tc.len()],
-                    &bytes[base..base + tc.len()],
-                    tc,
-                    ec,
-                );
-            }),
+            Some(g) => parallel_jobs(
+                flops
+                    .chunks(g)
+                    .zip(bytes.chunks(g))
+                    .zip(t_out.chunks_mut(g).zip(e_out.chunks_mut(g)))
+                    .map(|((f, b), (tc, ec))| move || self.time_energy_slice(f, b, tc, ec)),
+            ),
             None => self.time_energy_slice(flops, bytes, t_out, e_out),
         }
     }
@@ -495,17 +490,16 @@ impl RooflinePlan {
         assert_batch_lens(e_out.len(), p_out.len(), r_out.len());
         assert_batch_lens(flops.len(), flops.len(), e_out.len());
         match par_grain(t_out.len()) {
-            Some(g) => parallel_chunks_mut4(t_out, e_out, p_out, r_out, g, |idx, tc, ec, pc, rc| {
-                let base = idx * g;
-                self.evaluate_slice(
-                    &flops[base..base + tc.len()],
-                    &bytes[base..base + tc.len()],
-                    tc,
-                    ec,
-                    pc,
-                    rc,
-                );
-            }),
+            Some(g) => parallel_jobs(
+                flops
+                    .chunks(g)
+                    .zip(bytes.chunks(g))
+                    .zip(t_out.chunks_mut(g).zip(e_out.chunks_mut(g)))
+                    .zip(p_out.chunks_mut(g).zip(r_out.chunks_mut(g)))
+                    .map(|(((f, b), (tc, ec)), (pc, rc))| {
+                        move || self.evaluate_slice(f, b, tc, ec, pc, rc)
+                    }),
+            ),
             None => self.evaluate_slice(flops, bytes, t_out, e_out, p_out, r_out),
         }
     }
@@ -577,10 +571,12 @@ impl RooflinePlan {
     pub fn power_regime_batch(&self, intensities: &[f64], p_out: &mut [f64], r_out: &mut [Regime]) {
         assert_batch_lens(intensities.len(), p_out.len(), r_out.len());
         match par_grain(p_out.len()) {
-            Some(g) => parallel_chunks_mut2(p_out, r_out, g, |idx, pc, rc| {
-                let base = idx * g;
-                self.power_regime_slice(&intensities[base..base + pc.len()], pc, rc);
-            }),
+            Some(g) => parallel_jobs(
+                intensities
+                    .chunks(g)
+                    .zip(p_out.chunks_mut(g).zip(r_out.chunks_mut(g)))
+                    .map(|(xs, (pc, rc))| move || self.power_regime_slice(xs, pc, rc)),
+            ),
             None => self.power_regime_slice(intensities, p_out, r_out),
         }
     }
@@ -662,10 +658,13 @@ impl RooflinePlan {
         assert_batch_lens(intensities.len(), intensities.len(), p_out.len());
         validate_intensities(intensities);
         match par_grain(perf_out.len()) {
-            Some(g) => parallel_chunks_mut3(perf_out, eff_out, p_out, g, |idx, fc, ec, pc| {
-                let base = idx * g;
-                self.efficiency_slice(&intensities[base..base + fc.len()], fc, ec, pc);
-            }),
+            Some(g) => parallel_jobs(
+                intensities
+                    .chunks(g)
+                    .zip(perf_out.chunks_mut(g).zip(eff_out.chunks_mut(g)))
+                    .zip(p_out.chunks_mut(g))
+                    .map(|((xs, (fc, ec)), pc)| move || self.efficiency_slice(xs, fc, ec, pc)),
+            ),
             None => self.efficiency_slice(intensities, perf_out, eff_out, p_out),
         }
     }
@@ -717,7 +716,12 @@ impl RooflinePlan {
         };
         let (mut xs, mut out) = (vec![0.0; n], vec![0.0; n]);
         match par_grain(n) {
-            Some(g) => parallel_chunks_mut2(&mut xs, &mut out, g, |idx, xc, oc| chunk(idx * g, xc, oc)),
+            Some(g) => parallel_jobs(
+                xs.chunks_mut(g)
+                    .zip(out.chunks_mut(g))
+                    .enumerate()
+                    .map(|(idx, (xc, oc))| move || chunk(idx * g, xc, oc)),
+            ),
             None => chunk(0, &mut xs, &mut out),
         }
         (xs, out)
@@ -751,6 +755,8 @@ fn validate_intensities(intensities: &[f64]) {
     }
 }
 
+/// Checked before every dispatch: the parallel path zips the slices' chunks,
+/// and a zip would silently stop at the shortest slice.
 fn assert_batch_lens(flops: usize, bytes: usize, out: usize) {
     assert!(flops == bytes && bytes == out, "batch slice lengths must match");
 }
@@ -904,6 +910,31 @@ mod tests {
         let plan = RooflinePlan::new(titan_params());
         let mut out = vec![0.0; 3];
         plan.time_batch(&[1.0, 2.0], &[1.0, 2.0], &mut out);
+    }
+
+    /// The parallel path zips the outputs' chunks, so the length check must
+    /// fire there too, or a short output would silently drop its tail.
+    #[test]
+    fn mismatched_lengths_rejected_on_parallel_path() {
+        fn panic_message(run: impl FnOnce()) -> String {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("short output accepted");
+            err.downcast_ref::<&str>().map_or_else(String::new, |s| s.to_string())
+        }
+        let plan = RooflinePlan::new(titan_params());
+        let n = PAR_THRESHOLD + 123;
+        let xs: Vec<f64> = (1..=n).map(|k| k as f64).collect();
+        for short in 0..4 {
+            let len = |k: usize| if k == short { n - 1 } else { n };
+            let (mut t, mut e, mut p) = (vec![0.0; len(0)], vec![0.0; len(1)], vec![0.0; len(2)]);
+            let mut r = vec![Regime::MemoryBound; len(3)];
+            let msg = panic_message(|| plan.evaluate_batch(&xs, &xs, &mut t, &mut e, &mut p, &mut r));
+            assert_eq!(msg, "batch slice lengths must match", "evaluate_batch, output {short}");
+            if short < 3 {
+                let msg = panic_message(|| plan.efficiency_batch(&xs, &mut t, &mut e, &mut p));
+                assert_eq!(msg, "batch slice lengths must match", "efficiency_batch, output {short}");
+            }
+        }
     }
 
     #[test]

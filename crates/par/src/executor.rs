@@ -1,12 +1,10 @@
-//! A process-wide, lazily-initialized work-stealing executor.
-//!
-//! This is the promotion of the original batch `ThreadPool` into a single
-//! persistent substrate shared by every parallel primitive in the crate:
+//! A process-wide, lazily-initialized work-stealing executor: the one
+//! substrate under every parallel primitive in the crate.
 //!
 //! * **One set of worker threads per process.** The first parallel call
 //!   builds the global executor with [`crate::num_threads`] workers
 //!   (`ARCHLINE_THREADS` / [`crate::set_num_threads`] override); every later
-//!   call reuses them instead of spawning a fresh `std::thread::scope`.
+//!   call reuses them.
 //! * **Chunked deque-based distribution.** Each worker owns a deque; batches
 //!   submitted from a worker go to its own deque (LIFO pop for locality),
 //!   external submissions go to a shared injector queue, and idle workers
@@ -93,11 +91,11 @@ impl Batch {
     }
 }
 
-/// A queued task: an erased job, the batch it belongs to (detached tasks
-/// have no batch), and the submitter's event scope, which the task runs
-/// under on whichever thread executes it.
+/// A queued task: an erased job, the batch it belongs to, and the
+/// submitter's event scope, which the task runs under on whichever thread
+/// executes it.
 struct Task {
-    batch: Option<Arc<Batch>>,
+    batch: Arc<Batch>,
     job: ErasedJob,
     scope: obs::Scope,
 }
@@ -205,7 +203,7 @@ impl Executor {
         let scope = obs::current_scope();
         let tasks: Vec<Task> = jobs
             .into_iter()
-            .map(|job| Task { batch: Some(Arc::clone(&batch)), job: erase(job), scope })
+            .map(|job| Task { batch: Arc::clone(&batch), job: erase(job), scope })
             .collect();
 
         BATCHES.inc();
@@ -266,39 +264,6 @@ impl Executor {
         if let Some(payload) = payload {
             resume_unwind(payload);
         }
-    }
-
-    /// Pops and executes one queued task, if any is available. Lets
-    /// blocking waiters outside `run_batch` (e.g. `ThreadPool::wait_idle`)
-    /// contribute progress instead of parking, which keeps waits
-    /// deadlock-free even when called from a worker.
-    pub(crate) fn help_one(&self) -> bool {
-        match find_task(&self.shared, current_worker_on(&self.shared)) {
-            Some(task) => {
-                execute(task);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Submits a detached `'static` job with no join handle. Used by the
-    /// [`crate::ThreadPool`] facade, which layers its own completion and
-    /// panic accounting on top.
-    pub(crate) fn spawn_detached(&self, job: ErasedJob) {
-        let task = Task { batch: None, job, scope: obs::current_scope() };
-        match current_worker_on(&self.shared) {
-            Some(idx) => lock(&self.shared.queues[idx]).push_back(task),
-            None => lock(&self.shared.injector).push_back(task),
-        }
-        // ordering: Relaxed — sleep-gate hint; the task is published by the
-        // deque/injector mutex above and sleepers re-check under `idle_lock`
-        // with a timeout backstop.
-        // Same transiently-wrapped-negative tolerance as `run_batch`.
-        let prev = self.shared.queued.fetch_add(1, Ordering::Relaxed);
-        QUEUE_DEPTH.record((prev as i64).saturating_add(1).max(0) as u64);
-        let _guard = lock(&self.shared.idle_lock);
-        self.shared.idle_cv.notify_all();
     }
 }
 
@@ -411,15 +376,8 @@ fn execute(task: Task) {
         let _span = obs::span(obs::Level::Trace, "par", "task");
         catch_unwind(AssertUnwindSafe(job))
     };
-    if result.is_err() {
-        TASK_PANICS.inc();
-    }
-    let Some(batch) = batch else {
-        // Detached tasks manage their own panic accounting (see
-        // `ThreadPool::execute`, which wraps jobs in `catch_unwind`).
-        return;
-    };
     if let Err(payload) = result {
+        TASK_PANICS.inc();
         let mut slot = lock(&batch.panic);
         if slot.is_none() {
             *slot = Some(payload);

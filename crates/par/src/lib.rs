@@ -8,16 +8,16 @@
 //! Everything runs on one **process-wide, lazily-initialized work-stealing
 //! [`Executor`](executor::Executor)**:
 //!
-//! * **Data-parallel primitives** ([`parallel_for`], [`parallel_map`],
-//!   [`parallel_reduce`], [`parallel_for_dynamic`], [`parallel_chunks_mut`])
-//!   borrow local data freely with fork-join semantics. Nested calls — a
-//!   `parallel_map` inside a `parallel_map`, as in the 12-platform sweep
-//!   whose per-platform suites are themselves parallel — share the same
-//!   worker set: the joining thread helps drain sub-tasks instead of
-//!   spawning fresh scoped threads.
-//! * **A [`ThreadPool`] facade** for many small independent `'static`
-//!   tasks, with a blocking `wait_idle` and panic propagation, also backed
-//!   by the global executor.
+//! * [`parallel_jobs`] runs a set of borrowing closures with fork-join
+//!   semantics; multi-slice kernels zip their own `chunks_mut` iterators
+//!   into it.
+//! * [`parallel_map`] and [`parallel_chunks_mut`] are the two slice shapes
+//!   built on it.
+//!
+//! Nested calls — a `parallel_map` inside a `parallel_map`, as in the
+//! 12-platform sweep whose per-platform suites are themselves parallel —
+//! share the same worker set: the joining thread helps drain sub-tasks
+//! instead of spawning fresh threads.
 //!
 //! Worker count defaults to [`std::thread::available_parallelism`], is
 //! overridden by the `ARCHLINE_THREADS` environment variable, and can be
@@ -28,18 +28,12 @@
 #![warn(missing_docs)]
 
 pub mod executor;
-pub mod pool;
 pub mod scope;
 
 pub use executor::Executor;
-pub use pool::ThreadPool;
-pub use scope::{
-    parallel_chunks_mut, parallel_chunks_mut2, parallel_chunks_mut3, parallel_chunks_mut4,
-    parallel_for, parallel_for_dynamic, parallel_map, parallel_reduce,
-};
+pub use scope::{parallel_chunks_mut, parallel_jobs, parallel_map};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Programmatic thread-count override (0 = unset); takes precedence over
 /// `ARCHLINE_THREADS`.
@@ -92,24 +86,11 @@ pub fn set_num_threads(n: usize) -> Result<(), String> {
 /// streaming kernels in the ~1 Gelem/s class.
 pub const MIN_PAR_GRAIN: usize = 1 << 13;
 
-/// Cached `ARCHLINE_PAR_GRAIN` override (parsed once; `None` = unset).
-static GRAIN_OVERRIDE: OnceLock<Option<usize>> = OnceLock::new();
-
-/// Parses an `ARCHLINE_PAR_GRAIN` value: a positive element count.
-fn parse_grain(s: &str) -> Option<usize> {
-    s.parse::<usize>().ok().filter(|n| *n > 0)
-}
-
 /// Chunk length for splitting a `len`-element data-parallel loop across the
-/// executor, honoring the `ARCHLINE_PAR_GRAIN` environment override when set
-/// (read once per process).
-///
-/// Without an override the grain adapts to the input and the worker count —
-/// see [`adaptive_grain_for`] for the policy.
+/// executor: adapts to the input and the worker count — see
+/// [`adaptive_grain_for`] for the policy.
 pub fn adaptive_grain(len: usize) -> usize {
-    let over = *GRAIN_OVERRIDE
-        .get_or_init(|| std::env::var("ARCHLINE_PAR_GRAIN").ok().and_then(|s| parse_grain(&s)));
-    adaptive_grain_for(len, num_threads(), over)
+    adaptive_grain_for(len, num_threads())
 }
 
 /// The grain policy behind [`adaptive_grain`], exposed with explicit inputs
@@ -121,12 +102,7 @@ pub fn adaptive_grain(len: usize) -> usize {
 /// * rounded up to a whole number of 64-byte cache lines of `f64` (8
 ///   elements), so chunk boundaries never make two workers write the same
 ///   line (false sharing) and the lane-structured kernels see full lanes.
-///
-/// A positive `override_grain` wins outright (still rounded up to a lane).
-pub fn adaptive_grain_for(len: usize, workers: usize, override_grain: Option<usize>) -> usize {
-    if let Some(g) = override_grain {
-        return g.max(1).next_multiple_of(8);
-    }
+pub fn adaptive_grain_for(len: usize, workers: usize) -> usize {
     let tasks = 4 * workers.max(1);
     len.div_ceil(tasks).next_multiple_of(8).max(MIN_PAR_GRAIN)
 }
@@ -142,10 +118,10 @@ mod tests {
 
     #[test]
     fn adaptive_grain_targets_four_tasks_per_worker() {
-        // Large input, no override: ~4 tasks per worker.
+        // Large input: ~4 tasks per worker.
         let len = 1 << 20;
         for workers in [2usize, 4, 8] {
-            let g = adaptive_grain_for(len, workers, None);
+            let g = adaptive_grain_for(len, workers);
             let tasks = len.div_ceil(g);
             assert!(
                 tasks >= 3 * workers && tasks <= 5 * workers,
@@ -156,31 +132,17 @@ mod tests {
 
     #[test]
     fn adaptive_grain_never_below_minimum() {
-        assert_eq!(adaptive_grain_for(100, 64, None), MIN_PAR_GRAIN);
-        assert_eq!(adaptive_grain_for(0, 1, None), MIN_PAR_GRAIN);
+        assert_eq!(adaptive_grain_for(100, 64), MIN_PAR_GRAIN);
+        assert_eq!(adaptive_grain_for(0, 1), MIN_PAR_GRAIN);
     }
 
     #[test]
     fn adaptive_grain_is_lane_aligned() {
         for len in [1 << 16, (1 << 20) + 7, 12_345_678] {
             for workers in [1usize, 3, 7, 16] {
-                assert_eq!(adaptive_grain_for(len, workers, None) % 8, 0);
+                assert_eq!(adaptive_grain_for(len, workers) % 8, 0);
             }
         }
-    }
-
-    #[test]
-    fn adaptive_grain_override_wins_and_is_rounded() {
-        assert_eq!(adaptive_grain_for(1 << 20, 8, Some(100)), 104);
-        assert_eq!(adaptive_grain_for(1 << 20, 8, Some(1 << 14)), 1 << 14);
-    }
-
-    #[test]
-    fn grain_parser_rejects_junk() {
-        assert_eq!(parse_grain("16384"), Some(16384));
-        assert_eq!(parse_grain("0"), None);
-        assert_eq!(parse_grain("-4"), None);
-        assert_eq!(parse_grain("lots"), None);
     }
 
     #[test]

@@ -1,16 +1,15 @@
-//! Fork-join data parallelism over index ranges and slices.
+//! Fork-join data parallelism: one primitive, [`parallel_jobs`], and the
+//! two slice helpers built on it.
 //!
-//! All primitives run on the process-wide [`Executor`]: the first parallel
+//! Everything runs on the process-wide [`Executor`]: the first parallel
 //! call starts the workers, every later call reuses them, and nested calls
 //! (a `parallel_map` inside a `parallel_map`) are executed by the same
-//! worker set via the executor's help-while-joining protocol instead of
-//! spawning fresh scoped threads.
+//! worker set via the executor's help-while-joining protocol.
 //!
-//! Work is split into the same contiguous, balanced chunks as before the
-//! executor existed ([`split_ranges`] with [`num_threads`] chunks), and each
-//! chunk is processed in index order by whichever thread picks it up — so
-//! results, including floating-point results, are bit-for-bit deterministic
-//! and independent of scheduling.
+//! Callers fix each job's work before submission (contiguous chunks, each
+//! processed in index order by whichever thread picks it up), so results,
+//! including floating-point results, are bit-for-bit deterministic and
+//! independent of scheduling.
 
 use std::ops::Range;
 
@@ -19,7 +18,7 @@ use crate::num_threads;
 
 /// Splits `0..len` into at most `threads` contiguous chunks of roughly equal
 /// size; returns the ranges (empty when `len == 0`).
-pub fn split_ranges(len: usize, threads: usize) -> Vec<Range<usize>> {
+fn split_ranges(len: usize, threads: usize) -> Vec<Range<usize>> {
     assert!(threads > 0, "need at least one thread");
     if len == 0 {
         return Vec::new();
@@ -38,29 +37,25 @@ pub fn split_ranges(len: usize, threads: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Runs `f(range)` on contiguous chunks of `0..len` across the executor's
-/// workers and waits for all of them (fork-join). The calling thread helps
-/// execute chunks while it waits. Panics in chunks propagate after the
-/// whole batch finishes.
-pub fn parallel_for<F>(len: usize, f: F)
+/// Runs every job and waits for all of them (fork-join). With one worker
+/// the jobs run inline, in order; otherwise they go to the executor as one
+/// batch, and the calling thread helps run them while it waits. A job panic
+/// propagates after the whole batch finishes.
+///
+/// Multi-slice kernels zip their own `chunks_mut` iterators into the jobs;
+/// the caller checks the slice lengths first, so the zip cannot drop a
+/// trailing chunk.
+pub fn parallel_jobs<'scope, I, F>(jobs: I)
 where
-    F: Fn(Range<usize>) + Sync,
+    I: IntoIterator<Item = F>,
+    F: FnOnce() + Send + 'scope,
 {
-    let ranges = split_ranges(len, num_threads());
-    match ranges.len() {
-        0 => {}
-        1 => {
-            if let Some(r) = ranges.into_iter().next() {
-                f(r);
-            }
-        }
-        _ => {
-            let f = &f;
-            let jobs: Vec<Job<'_>> =
-                ranges.into_iter().map(|r| Box::new(move || f(r)) as Job<'_>).collect();
-            Executor::global().run_batch(jobs);
-        }
+    let jobs = jobs.into_iter();
+    if num_threads() <= 1 {
+        jobs.for_each(|job| job());
+        return;
     }
+    Executor::global().run_batch(jobs.map(|job| Box::new(job) as Job<'scope>).collect());
 }
 
 /// Parallel map over a slice, preserving order.
@@ -74,115 +69,18 @@ where
     if ranges.len() <= 1 {
         return items.iter().map(f).collect();
     }
-    let mut pieces: Vec<Option<Vec<U>>> = Vec::new();
-    pieces.resize_with(ranges.len(), || None);
-    {
-        let f = &f;
-        let jobs: Vec<Job<'_>> = pieces
-            .iter_mut()
-            .zip(ranges)
-            .map(|(slot, r)| {
-                let chunk = &items[r];
-                Box::new(move || {
-                    *slot = Some(chunk.iter().map(f).collect());
-                }) as Job<'_>
-            })
-            .collect();
-        Executor::global().run_batch(jobs);
-    }
-    // lint:allow(panic-discipline, reason = "run_batch is a completion barrier: every chunk slot is filled or the batch re-raised a job panic, so None here is the executor lying")
-    pieces.into_iter().flat_map(|p| p.expect("chunk completed")).collect()
-}
-
-/// Parallel map-reduce over `0..len`: `map(i)` produces per-index values,
-/// folded with `reduce` starting from `identity` (reduce must be associative
-/// and commutative with the identity for a deterministic result).
-pub fn parallel_reduce<T, M, R>(len: usize, identity: T, map: M, reduce: R) -> T
-where
-    T: Send + Clone,
-    M: Fn(usize) -> T + Sync,
-    R: Fn(T, T) -> T + Sync + Send,
-{
-    let ranges = split_ranges(len, num_threads());
-    if ranges.is_empty() {
-        return identity;
-    }
-    let mut partials: Vec<Option<T>> = Vec::new();
-    partials.resize_with(ranges.len(), || None);
-    {
-        let map = &map;
-        let reduce = &reduce;
-        let jobs: Vec<Job<'_>> = partials
-            .iter_mut()
-            .zip(ranges)
-            .map(|(slot, r)| {
-                let id = identity.clone();
-                Box::new(move || {
-                    let mut acc = id;
-                    for i in r {
-                        acc = reduce(acc, map(i));
-                    }
-                    *slot = Some(acc);
-                }) as Job<'_>
-            })
-            .collect();
-        Executor::global().run_batch(jobs);
-    }
-    partials
-        .into_iter()
-        // lint:allow(panic-discipline, reason = "run_batch is a completion barrier: every partial is filled or the batch re-raised a job panic, so None here is the executor lying")
-        .map(|p| p.expect("chunk completed"))
-        .fold(identity, reduce)
-}
-
-/// Dynamically scheduled parallel-for: workers pull indices from a shared
-/// atomic counter in blocks of `grain`, so wildly uneven per-index costs
-/// (e.g. per-platform simulations where capped runs take longer) balance
-/// automatically. For uniform costs prefer [`parallel_for`] (less
-/// contention, deterministic chunking).
-pub fn parallel_for_dynamic<F>(len: usize, grain: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    assert!(grain > 0, "grain must be positive");
-    if len == 0 {
-        return;
-    }
-    let threads = num_threads().min(len.div_ceil(grain));
-    if threads <= 1 {
-        for i in 0..len {
-            f(i);
-        }
-        return;
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    {
-        let next = &next;
-        let f = &f;
-        let jobs: Vec<Job<'_>> = (0..threads)
-            .map(|_| {
-                Box::new(move || loop {
-                    // ordering: Relaxed — the RMW's atomicity alone
-                    // partitions the index space; workers touch disjoint
-                    // chunks and run_batch is the join barrier.
-                    let start = next.fetch_add(grain, std::sync::atomic::Ordering::Relaxed);
-                    if start >= len {
-                        break;
-                    }
-                    for i in start..(start + grain).min(len) {
-                        f(i);
-                    }
-                }) as Job<'_>
-            })
-            .collect();
-        Executor::global().run_batch(jobs);
-    }
+    let mut pieces: Vec<Vec<U>> = ranges.iter().map(|_| Vec::new()).collect();
+    let f = &f;
+    parallel_jobs(
+        pieces.iter_mut().zip(ranges).map(|(piece, r)| move || *piece = items[r].iter().map(f).collect()),
+    );
+    pieces.into_iter().flatten().collect()
 }
 
 /// Runs `f(chunk_index, chunk)` over disjoint mutable chunks of `data` of
 /// size `chunk_len` (the last chunk may be shorter), in parallel. The
 /// executor bounds concurrency at its worker count even when there are many
-/// chunks (the old scoped implementation spawned one thread per chunk).
+/// chunks.
 ///
 /// # Panics
 /// Panics if `chunk_len == 0`.
@@ -192,144 +90,13 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "chunk_len must be positive");
-    if data.is_empty() {
-        return;
-    }
-    // With one worker (or one chunk) the executor is pure overhead: every
-    // boxed job runs on the calling thread anyway, but pays allocation,
-    // queue traffic, and the join barrier. Run the chunks inline — the
-    // results are identical by construction (same chunks, same order).
-    if num_threads() <= 1 || data.len() <= chunk_len {
-        for (idx, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(idx, chunk);
-        }
-        return;
-    }
     let f = &f;
-    let jobs: Vec<Job<'_>> = data
-        .chunks_mut(chunk_len)
-        .enumerate()
-        .map(|(idx, chunk)| Box::new(move || f(idx, chunk)) as Job<'_>)
-        .collect();
-    Executor::global().run_batch(jobs);
-}
-
-/// Like [`parallel_chunks_mut`] over two equal-length slices split into the
-/// same aligned chunks: `f(chunk_index, a_chunk, b_chunk)`. The fused batch
-/// kernels use this to fill several output columns in one parallel pass.
-///
-/// # Panics
-/// Panics if `chunk_len == 0` or the slice lengths differ.
-pub fn parallel_chunks_mut2<A, B, F>(a: &mut [A], b: &mut [B], chunk_len: usize, f: F)
-where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &mut [A], &mut [B]) + Sync,
-{
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    assert_eq!(a.len(), b.len(), "chunked slice lengths must match");
-    if a.is_empty() {
-        return;
-    }
-    let serial = num_threads() <= 1 || a.len() <= chunk_len;
-    let groups = a.chunks_mut(chunk_len).zip(b.chunks_mut(chunk_len)).enumerate();
-    if serial {
-        for (idx, (ca, cb)) in groups {
-            f(idx, ca, cb);
-        }
-        return;
-    }
-    let f = &f;
-    let jobs: Vec<Job<'_>> =
-        groups.map(|(idx, (ca, cb))| Box::new(move || f(idx, ca, cb)) as Job<'_>).collect();
-    Executor::global().run_batch(jobs);
-}
-
-/// [`parallel_chunks_mut2`] for three equal-length slices.
-///
-/// # Panics
-/// Panics if `chunk_len == 0` or the slice lengths differ.
-pub fn parallel_chunks_mut3<A, B, C, F>(a: &mut [A], b: &mut [B], c: &mut [C], chunk_len: usize, f: F)
-where
-    A: Send,
-    B: Send,
-    C: Send,
-    F: Fn(usize, &mut [A], &mut [B], &mut [C]) + Sync,
-{
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    assert!(a.len() == b.len() && b.len() == c.len(), "chunked slice lengths must match");
-    if a.is_empty() {
-        return;
-    }
-    let serial = num_threads() <= 1 || a.len() <= chunk_len;
-    let groups = a
-        .chunks_mut(chunk_len)
-        .zip(b.chunks_mut(chunk_len))
-        .zip(c.chunks_mut(chunk_len))
-        .enumerate();
-    if serial {
-        for (idx, ((ca, cb), cc)) in groups {
-            f(idx, ca, cb, cc);
-        }
-        return;
-    }
-    let f = &f;
-    let jobs: Vec<Job<'_>> = groups
-        .map(|(idx, ((ca, cb), cc))| Box::new(move || f(idx, ca, cb, cc)) as Job<'_>)
-        .collect();
-    Executor::global().run_batch(jobs);
-}
-
-/// [`parallel_chunks_mut2`] for four equal-length slices.
-///
-/// # Panics
-/// Panics if `chunk_len == 0` or the slice lengths differ.
-pub fn parallel_chunks_mut4<A, B, C, D, F>(
-    a: &mut [A],
-    b: &mut [B],
-    c: &mut [C],
-    d: &mut [D],
-    chunk_len: usize,
-    f: F,
-) where
-    A: Send,
-    B: Send,
-    C: Send,
-    D: Send,
-    F: Fn(usize, &mut [A], &mut [B], &mut [C], &mut [D]) + Sync,
-{
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    assert!(
-        a.len() == b.len() && b.len() == c.len() && c.len() == d.len(),
-        "chunked slice lengths must match"
-    );
-    if a.is_empty() {
-        return;
-    }
-    let serial = num_threads() <= 1 || a.len() <= chunk_len;
-    let groups = a
-        .chunks_mut(chunk_len)
-        .zip(b.chunks_mut(chunk_len))
-        .zip(c.chunks_mut(chunk_len))
-        .zip(d.chunks_mut(chunk_len))
-        .enumerate();
-    if serial {
-        for (idx, (((ca, cb), cc), cd)) in groups {
-            f(idx, ca, cb, cc, cd);
-        }
-        return;
-    }
-    let f = &f;
-    let jobs: Vec<Job<'_>> = groups
-        .map(|(idx, (((ca, cb), cc), cd))| Box::new(move || f(idx, ca, cb, cc, cd)) as Job<'_>)
-        .collect();
-    Executor::global().run_batch(jobs);
+    parallel_jobs(data.chunks_mut(chunk_len).enumerate().map(|(idx, chunk)| move || f(idx, chunk)));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn split_ranges_covers_exactly_once() {
@@ -357,19 +124,93 @@ mod tests {
 
     #[test]
     fn parallel_for_touches_every_index_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let n = 10_000;
         let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(n, |range| {
-            for i in range {
-                counters[i].fetch_add(1, Ordering::Relaxed);
+        let counters = &counters;
+        parallel_jobs(split_ranges(n, 4 * num_threads()).into_iter().map(|range| {
+            move || {
+                for i in range {
+                    counters[i].fetch_add(1, Ordering::Relaxed);
+                }
             }
-        });
+        }));
         assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
     fn parallel_for_empty_is_noop() {
-        parallel_for(0, |_| panic!("must not be called"));
+        parallel_jobs(std::iter::empty::<fn()>());
+        let mut empty: [u32; 0] = [];
+        parallel_jobs(empty.chunks_mut(8).map(|_| || panic!("must not be called")));
+    }
+
+    #[test]
+    fn chunks_mut2_keeps_slices_aligned() {
+        let n = 1003;
+        let mut a = vec![0u32; n];
+        let mut b = vec![0u64; n];
+        parallel_jobs(a.chunks_mut(100).zip(b.chunks_mut(100)).enumerate().map(|(idx, (ca, cb))| {
+            move || {
+                assert_eq!(ca.len(), cb.len());
+                for (x, y) in ca.iter_mut().zip(cb.iter_mut()) {
+                    *x = idx as u32;
+                    *y = idx as u64 + 1;
+                }
+            }
+        }));
+        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+            assert_eq!(*x, (i / 100) as u32, "index {i}");
+            assert_eq!(*y, (i / 100) as u64 + 1, "index {i}");
+        }
+    }
+
+    /// Zips four slices of `n` elements of different types into aligned
+    /// chunks and adds `chunk index + 1` to every slot: a slot skipped,
+    /// visited twice or paired with the wrong chunk reads back wrong.
+    fn zip_four(n: usize, chunk_len: usize) {
+        let (mut a, mut b, mut c, mut d) = (vec![0u8; n], vec![0u16; n], vec![0u32; n], vec![0u64; n]);
+        parallel_jobs(
+            a.chunks_mut(chunk_len)
+                .zip(b.chunks_mut(chunk_len))
+                .zip(c.chunks_mut(chunk_len))
+                .zip(d.chunks_mut(chunk_len))
+                .enumerate()
+                .map(|(idx, (((ca, cb), cc), cd))| {
+                    move || {
+                        assert!(ca.len() == cb.len() && cb.len() == cc.len() && cc.len() == cd.len());
+                        for k in 0..ca.len() {
+                            ca[k] += idx as u8 + 1;
+                            cb[k] += idx as u16 + 1;
+                            cc[k] += idx as u32 + 1;
+                            cd[k] += idx as u64 + 1;
+                        }
+                    }
+                }),
+        );
+        for i in 0..n {
+            let want = (i / chunk_len) as u64 + 1;
+            assert_eq!(
+                [a[i] as u64, b[i] as u64, c[i] as u64, d[i]],
+                [want; 4],
+                "slot {i}, n {n}, chunk_len {chunk_len}"
+            );
+        }
+    }
+
+    #[test]
+    fn chunks_mut4_covers_every_slot_once() {
+        zip_four(517, 64); // nine jobs, the last one short
+        zip_four(0, 64); // no jobs
+    }
+
+    #[test]
+    fn parallel_jobs_zipped_chunks_cover_every_slot_once() {
+        parallel_jobs(std::iter::empty::<fn()>());
+        zip_four(1003, 1003); // one job
+        zip_four(1003, 100); // eleven jobs, the last one short
+        let nested = parallel_map(&[1003usize, 100, 100, 1003], |&chunk_len| zip_four(1003, chunk_len));
+        assert_eq!(nested.len(), 4);
     }
 
     #[test]
@@ -386,18 +227,6 @@ mod tests {
     fn parallel_map_small_inputs() {
         assert_eq!(parallel_map(&[3], |&x: &i32| x + 1), vec![4]);
         assert_eq!(parallel_map::<i32, i32, _>(&[], |&x| x), Vec::<i32>::new());
-    }
-
-    #[test]
-    fn parallel_reduce_sums_like_sequential() {
-        let n = 100_000usize;
-        let sum = parallel_reduce(n, 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(sum, (n as u64 - 1) * n as u64 / 2);
-    }
-
-    #[test]
-    fn parallel_reduce_empty_returns_identity() {
-        assert_eq!(parallel_reduce(0, 42u64, |_| 0, |a, b| a + b), 42);
     }
 
     #[test]
@@ -418,93 +247,6 @@ mod tests {
     fn zero_chunk_len_panics() {
         let mut data = [1, 2, 3];
         parallel_chunks_mut(&mut data, 0, |_, _| {});
-    }
-
-    #[test]
-    fn chunks_mut2_keeps_slices_aligned() {
-        let n = 1003;
-        let mut a = vec![0u32; n];
-        let mut b = vec![0u64; n];
-        parallel_chunks_mut2(&mut a, &mut b, 100, |idx, ca, cb| {
-            assert_eq!(ca.len(), cb.len());
-            for (x, y) in ca.iter_mut().zip(cb.iter_mut()) {
-                *x = idx as u32;
-                *y = idx as u64 + 1;
-            }
-        });
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(*x, (i / 100) as u32, "index {i}");
-            assert_eq!(*y, (i / 100) as u64 + 1, "index {i}");
-        }
-    }
-
-    #[test]
-    fn chunks_mut4_covers_every_slot_once() {
-        let n = 517;
-        let mut a = vec![0u8; n];
-        let mut b = vec![0u8; n];
-        let mut c = vec![0u8; n];
-        let mut d = vec![0u8; n];
-        parallel_chunks_mut4(&mut a, &mut b, &mut c, &mut d, 64, |_, ca, cb, cc, cd| {
-            for v in ca.iter_mut().chain(cb.iter_mut()).chain(cc.iter_mut()).chain(cd.iter_mut())
-            {
-                *v += 1;
-            }
-        });
-        assert!(a.iter().chain(&b).chain(&c).chain(&d).all(|&v| v == 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "lengths must match")]
-    fn chunks_mut3_rejects_mismatched_lengths() {
-        let mut a = vec![0.0f64; 4];
-        let mut b = vec![0.0f64; 5];
-        let mut c = vec![0.0f64; 4];
-        parallel_chunks_mut3(&mut a, &mut b, &mut c, 2, |_, _, _, _| {});
-    }
-
-    #[test]
-    fn dynamic_covers_every_index_once() {
-        let n = 5000;
-        let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for_dynamic(n, 7, |i| {
-            counters[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn dynamic_handles_edges() {
-        parallel_for_dynamic(0, 4, |_| panic!("must not run"));
-        let hit = AtomicUsize::new(0);
-        parallel_for_dynamic(1, 100, |_| {
-            hit.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hit.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn dynamic_balances_skewed_work() {
-        // One index is 100× slower; the wall time should stay well below
-        // the serial sum when other workers absorb the rest.
-        use std::time::{Duration, Instant};
-        let n = 64;
-        let start = Instant::now();
-        parallel_for_dynamic(n, 1, |i| {
-            let us = if i == 0 { 20_000 } else { 200 };
-            std::thread::sleep(Duration::from_micros(us));
-        });
-        let elapsed = start.elapsed();
-        let serial = Duration::from_micros(20_000 + 63 * 200);
-        if crate::num_threads() >= 4 {
-            assert!(elapsed < serial, "{elapsed:?} vs serial {serial:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "grain")]
-    fn zero_grain_rejected() {
-        parallel_for_dynamic(10, 0, |_| {});
     }
 
     #[test]
