@@ -5,7 +5,7 @@
 //! the ratios; each is taken on one machine in one run, so it means something
 //! on any runner.
 //!
-//! Per batch kernel (`avg_power`, `time_energy`, the fused `evaluate`, its
+//! Per batch kernel (`avg_power`, the fused `evaluate`, its
 //! L2-resident `evaluate_cached` view, `perf`, `energy_eff`), three
 //! measurements bracket the claim over the same 10⁶-point log-spaced sweep:
 //! - `scalar`: today's per-point plan-backed calls (inputs `black_box`ed per
@@ -32,9 +32,9 @@ use archline_obs as obs;
 use archline_par::{adaptive_grain, num_threads};
 use archline_platforms::{platform, PlatformId, Precision};
 
-/// Schema of `BENCH_model.json`: v10 holds the provenance header, the
+/// Schema of `BENCH_model.json`: v11 holds the provenance header, the
 /// `kernel_sweeps` and the GEMM pair (earlier versions: see the git history).
-const SCHEMA_VERSION: u64 = 10;
+const SCHEMA_VERSION: u64 = 11;
 
 const SWEEP_POINTS: usize = 1_000_000;
 
@@ -141,26 +141,6 @@ fn main() {
         batch_par: best_secs(reps, || {
             plan.avg_power_batch(black_box(&xs), &mut out);
             black_box(&out);
-        }),
-    };
-
-    let time_energy = Sweep {
-        scalar: best_secs(reps, || {
-            for k in 0..n {
-                (t_buf[k], e_buf[k]) = plan.time_energy(black_box(flops[k]), black_box(bytes[k]));
-            }
-            black_box(&t_buf);
-            black_box(&e_buf);
-        }),
-        batch: best_secs(reps, || {
-            plan.time_energy_batch_serial(black_box(&flops), black_box(&bytes), &mut t_buf, &mut e_buf);
-            black_box(&t_buf);
-            black_box(&e_buf);
-        }),
-        batch_par: best_secs(reps, || {
-            plan.time_energy_batch(black_box(&flops), black_box(&bytes), &mut t_buf, &mut e_buf);
-            black_box(&t_buf);
-            black_box(&e_buf);
         }),
     };
 
@@ -333,7 +313,6 @@ fn main() {
     let _ = writeln!(json, "  \"streaming_bw_gbps\": {bw_gbps:.1},");
     let _ = writeln!(json, "  \"kernel_sweeps\": {{");
     avg_power.write_json(&mut json, "avg_power", true);
-    time_energy.write_json(&mut json, "time_energy", true);
     evaluate.write_json(&mut json, "evaluate", true);
     evaluate_cached.write_json(&mut json, "evaluate_cached", true);
     perf.write_json(&mut json, "perf", true);

@@ -5,8 +5,8 @@
 //! evaluating eqs. 1–7 over many `(W, Q)` points against *one* fixed
 //! [`MachineParams`]. The scalar methods re-derive the balance interval and
 //! the `π` components on every call; a [`RooflinePlan`] derives them once and
-//! exposes SoA batch kernels (`time_batch`, `energy_batch`,
-//! `avg_power_batch`, `regime_batch`, the fused [`RooflinePlan::evaluate_batch`], …)
+//! exposes SoA batch kernels (`avg_power_batch`, `perf_batch`, `energy_eff_batch`, the
+//! fused [`RooflinePlan::evaluate_batch`], `power_regime_batch`, `efficiency_batch`)
 //! that write into caller-provided output buffers and parallelize over
 //! chunks via `archline-par` above a size threshold, plus
 //! [`RooflinePlan::sweep`], which builds a log-spaced intensity grid and
@@ -274,29 +274,6 @@ impl RooflinePlan {
     // ------------------------------------------------------------------
 
     #[inline(never)]
-    fn time_slice(&self, flops: &[f64], bytes: &[f64], out: &mut [f64]) {
-        for ((&w, &q), o) in flops.iter().zip(bytes).zip(out.iter_mut()) {
-            *o = self.time(w, q);
-        }
-    }
-
-    #[inline(never)]
-    fn energy_slice(&self, flops: &[f64], bytes: &[f64], out: &mut [f64]) {
-        for ((&w, &q), o) in flops.iter().zip(bytes).zip(out.iter_mut()) {
-            *o = self.energy(w, q);
-        }
-    }
-
-    #[inline(never)]
-    fn time_energy_slice(&self, flops: &[f64], bytes: &[f64], t_out: &mut [f64], e_out: &mut [f64]) {
-        for (((&w, &q), t), e) in
-            flops.iter().zip(bytes).zip(t_out.iter_mut()).zip(e_out.iter_mut())
-        {
-            (*t, *e) = self.time_energy(w, q);
-        }
-    }
-
-    #[inline(never)]
     fn evaluate_slice(
         &self,
         flops: &[f64],
@@ -387,88 +364,6 @@ impl RooflinePlan {
     // both paths are bit-identical (elementwise kernels are split-invariant).
     // ------------------------------------------------------------------
 
-    /// `out[k] = T(flops[k], bytes[k])` for every `k`.
-    ///
-    /// # Panics
-    /// Panics if the slice lengths differ.
-    pub fn time_batch(&self, flops: &[f64], bytes: &[f64], out: &mut [f64]) {
-        assert_batch_lens(flops.len(), bytes.len(), out.len());
-        match par_grain(out.len()) {
-            Some(g) => parallel_chunks_mut(out, g, |idx, chunk| {
-                let base = idx * g;
-                self.time_slice(&flops[base..base + chunk.len()], &bytes[base..base + chunk.len()], chunk);
-            }),
-            None => self.time_slice(flops, bytes, out),
-        }
-    }
-
-    /// Serial variant of [`RooflinePlan::time_batch`] (never parallelizes);
-    /// same results bit-for-bit.
-    pub fn time_batch_serial(&self, flops: &[f64], bytes: &[f64], out: &mut [f64]) {
-        assert_batch_lens(flops.len(), bytes.len(), out.len());
-        self.time_slice(flops, bytes, out);
-    }
-
-    /// `out[k] = E(flops[k], bytes[k])` for every `k`.
-    ///
-    /// # Panics
-    /// Panics if the slice lengths differ.
-    pub fn energy_batch(&self, flops: &[f64], bytes: &[f64], out: &mut [f64]) {
-        assert_batch_lens(flops.len(), bytes.len(), out.len());
-        match par_grain(out.len()) {
-            Some(g) => parallel_chunks_mut(out, g, |idx, chunk| {
-                let base = idx * g;
-                self.energy_slice(&flops[base..base + chunk.len()], &bytes[base..base + chunk.len()], chunk);
-            }),
-            None => self.energy_slice(flops, bytes, out),
-        }
-    }
-
-    /// Serial variant of [`RooflinePlan::energy_batch`].
-    pub fn energy_batch_serial(&self, flops: &[f64], bytes: &[f64], out: &mut [f64]) {
-        assert_batch_lens(flops.len(), bytes.len(), out.len());
-        self.energy_slice(flops, bytes, out);
-    }
-
-    /// Fused `(T, E)` over a measurement set: `t_out[k], e_out[k] =
-    /// time_energy(flops[k], bytes[k])`.
-    ///
-    /// # Panics
-    /// Panics if the slice lengths differ.
-    pub fn time_energy_batch(
-        &self,
-        flops: &[f64],
-        bytes: &[f64],
-        t_out: &mut [f64],
-        e_out: &mut [f64],
-    ) {
-        assert_batch_lens(flops.len(), bytes.len(), t_out.len());
-        assert_batch_lens(flops.len(), bytes.len(), e_out.len());
-        match par_grain(t_out.len()) {
-            Some(g) => parallel_jobs(
-                flops
-                    .chunks(g)
-                    .zip(bytes.chunks(g))
-                    .zip(t_out.chunks_mut(g).zip(e_out.chunks_mut(g)))
-                    .map(|((f, b), (tc, ec))| move || self.time_energy_slice(f, b, tc, ec)),
-            ),
-            None => self.time_energy_slice(flops, bytes, t_out, e_out),
-        }
-    }
-
-    /// Serial variant of [`RooflinePlan::time_energy_batch`].
-    pub fn time_energy_batch_serial(
-        &self,
-        flops: &[f64],
-        bytes: &[f64],
-        t_out: &mut [f64],
-        e_out: &mut [f64],
-    ) {
-        assert_batch_lens(flops.len(), bytes.len(), t_out.len());
-        assert_batch_lens(flops.len(), bytes.len(), e_out.len());
-        self.time_energy_slice(flops, bytes, t_out, e_out);
-    }
-
     /// The fully fused sweep kernel: one memory pass computing
     /// `t_out[k], e_out[k], p_out[k], r_out[k] = evaluate(flops[k], bytes[k])`
     /// — time, energy, average power `E/T`, and the regime at `W/Q` — for
@@ -541,27 +436,6 @@ impl RooflinePlan {
         self.avg_power_slice(intensities, out);
     }
 
-    /// `out[k] = regime(intensities[k])`.
-    ///
-    /// # Panics
-    /// Panics if the slice lengths differ.
-    pub fn regime_batch(&self, intensities: &[f64], out: &mut [Regime]) {
-        assert_eq!(intensities.len(), out.len(), "batch slice lengths must match");
-        match par_grain(out.len()) {
-            Some(g) => parallel_chunks_mut(out, g, |idx, chunk| {
-                let base = idx * g;
-                self.regime_slice(&intensities[base..base + chunk.len()], chunk);
-            }),
-            None => self.regime_slice(intensities, out),
-        }
-    }
-
-    /// Serial variant of [`RooflinePlan::regime_batch`].
-    pub fn regime_batch_serial(&self, intensities: &[f64], out: &mut [Regime]) {
-        assert_eq!(intensities.len(), out.len(), "batch slice lengths must match");
-        self.regime_slice(intensities, out);
-    }
-
     /// Fused power-curve kernel: `p_out[k], r_out[k] = (P̄, regime)` at
     /// `intensities[k]` in one memory pass (the two quantities share their
     /// balance compares).
@@ -579,17 +453,6 @@ impl RooflinePlan {
             ),
             None => self.power_regime_slice(intensities, p_out, r_out),
         }
-    }
-
-    /// Serial variant of [`RooflinePlan::power_regime_batch`].
-    pub fn power_regime_batch_serial(
-        &self,
-        intensities: &[f64],
-        p_out: &mut [f64],
-        r_out: &mut [Regime],
-    ) {
-        assert_batch_lens(intensities.len(), p_out.len(), r_out.len());
-        self.power_regime_slice(intensities, p_out, r_out);
     }
 
     /// `out[k] = perf(intensities[k])` in flop/s.
@@ -667,20 +530,6 @@ impl RooflinePlan {
             ),
             None => self.efficiency_slice(intensities, perf_out, eff_out, p_out),
         }
-    }
-
-    /// Serial variant of [`RooflinePlan::efficiency_batch`].
-    pub fn efficiency_batch_serial(
-        &self,
-        intensities: &[f64],
-        perf_out: &mut [f64],
-        eff_out: &mut [f64],
-        p_out: &mut [f64],
-    ) {
-        assert_batch_lens(intensities.len(), perf_out.len(), eff_out.len());
-        assert_batch_lens(intensities.len(), intensities.len(), p_out.len());
-        validate_intensities(intensities);
-        self.efficiency_slice(intensities, perf_out, eff_out, p_out);
     }
 
     /// One metric over a whole log-spaced sweep, grid included: returns the
@@ -825,21 +674,14 @@ mod tests {
         let plan = RooflinePlan::new(titan_params());
         let n = 257; // deliberately not a power of two: exercises the lane tail
         let intensities: Vec<f64> = (0..n).map(|k| 2f64.powf(k as f64 / 16.0 - 4.0)).collect();
-        let flops: Vec<f64> = intensities.iter().map(|_| 1e11).collect();
-        let bytes: Vec<f64> = intensities.iter().map(|&i| 1e11 / i).collect();
 
-        let mut t = vec![0.0; n];
-        let mut e = vec![0.0; n];
         let mut p = vec![0.0; n];
-        plan.time_batch(&flops, &bytes, &mut t);
-        plan.energy_batch(&flops, &bytes, &mut e);
         plan.avg_power_batch(&intensities, &mut p);
-        let mut r = vec![Regime::MemoryBound; n];
-        plan.regime_batch(&intensities, &mut r);
+        let (mut p2, mut r) = (vec![0.0; n], vec![Regime::MemoryBound; n]);
+        plan.power_regime_batch(&intensities, &mut p2, &mut r);
         for k in 0..n {
-            assert_eq!(t[k].to_bits(), plan.time(flops[k], bytes[k]).to_bits());
-            assert_eq!(e[k].to_bits(), plan.energy(flops[k], bytes[k]).to_bits());
             assert_eq!(p[k].to_bits(), plan.avg_power_at(intensities[k]).to_bits());
+            assert_eq!(p2[k].to_bits(), plan.avg_power_at(intensities[k]).to_bits());
             assert_eq!(r[k], plan.regime_at(intensities[k]));
         }
     }
@@ -909,7 +751,7 @@ mod tests {
     fn mismatched_lengths_rejected() {
         let plan = RooflinePlan::new(titan_params());
         let mut out = vec![0.0; 3];
-        plan.time_batch(&[1.0, 2.0], &[1.0, 2.0], &mut out);
+        plan.avg_power_batch(&[1.0, 2.0], &mut out);
     }
 
     /// The parallel path zips the outputs' chunks, so the length check must
@@ -919,7 +761,10 @@ mod tests {
         fn panic_message(run: impl FnOnce()) -> String {
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
                 .expect_err("short output accepted");
-            err.downcast_ref::<&str>().map_or_else(String::new, |s| s.to_string())
+            err.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
         }
         let plan = RooflinePlan::new(titan_params());
         let n = PAR_THRESHOLD + 123;
@@ -934,6 +779,22 @@ mod tests {
                 let msg = panic_message(|| plan.efficiency_batch(&xs, &mut t, &mut e, &mut p));
                 assert_eq!(msg, "batch slice lengths must match", "efficiency_batch, output {short}");
             }
+            if short >= 2 {
+                // `p` or `r` is the short one.
+                let msg = panic_message(|| plan.power_regime_batch(&xs, &mut p, &mut r));
+                let ctx = format!("power_regime_batch, output {short}");
+                assert_eq!(msg, "batch slice lengths must match", "{ctx}");
+            }
+        }
+        // The single-output kernels check with `assert_eq!`, whose message
+        // carries an `assertion ... failed: ` prefix and the two lengths.
+        let mut out = vec![0.0; n - 1];
+        for (name, msg) in [
+            ("avg_power_batch", panic_message(|| plan.avg_power_batch(&xs, &mut out))),
+            ("perf_batch", panic_message(|| plan.perf_batch(&xs, &mut out))),
+            ("energy_eff_batch", panic_message(|| plan.energy_eff_batch(&xs, &mut out))),
+        ] {
+            assert!(msg.contains("batch slice lengths must match"), "{name}: {msg}");
         }
     }
 

@@ -125,10 +125,9 @@ fn batch_kernels_bit_identical_to_scalar_across_random_machines() {
         let n = 64;
         let flops: Vec<f64> = (0..n).map(|_| rng.log_range(1e6, 1e12)).collect();
         let bytes: Vec<f64> = (0..n).map(|_| rng.log_range(1e6, 1e12)).collect();
-        let mut t_out = vec![0.0; n];
-        let mut e_out = vec![0.0; n];
-        plan.time_batch(&flops, &bytes, &mut t_out);
-        plan.energy_batch(&flops, &bytes, &mut e_out);
+        let (mut t_out, mut e_out, mut p_out) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        let mut r_out = vec![Regime::MemoryBound; n];
+        plan.evaluate_batch(&flops, &bytes, &mut t_out, &mut e_out, &mut p_out, &mut r_out);
         for k in 0..n {
             let w = Workload::new(flops[k], bytes[k]);
             let (rt, re) = replica_time_energy(&params, flops[k], bytes[k]);
@@ -149,26 +148,10 @@ fn batch_kernels_bit_identical_to_scalar_across_random_machines() {
                 "trial {trial} energy vs replica: {de} ULP ({} vs {re})",
                 e_out[k]
             );
-        }
-        // Fused kernels agree with the separate ones exactly.
-        let mut t2 = vec![0.0; n];
-        let mut e2 = vec![0.0; n];
-        plan.time_energy_batch(&flops, &bytes, &mut t2, &mut e2);
-        assert!(t2.iter().zip(&t_out).all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert!(e2.iter().zip(&e_out).all(|(a, b)| a.to_bits() == b.to_bits()));
-
-        let (mut t3, mut e3, mut p3) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let mut r3 = vec![Regime::MemoryBound; n];
-        plan.evaluate_batch(&flops, &bytes, &mut t3, &mut e3, &mut p3, &mut r3);
-        for k in 0..n {
-            assert_eq!(t3[k].to_bits(), t_out[k].to_bits(), "trial {trial} fused time");
-            assert_eq!(e3[k].to_bits(), e_out[k].to_bits(), "trial {trial} fused energy");
-            assert_eq!(
-                p3[k].to_bits(),
-                (e_out[k] / t_out[k]).to_bits(),
-                "trial {trial} fused power"
-            );
-            assert_eq!(r3[k], model.regime_at(flops[k] / bytes[k]), "trial {trial} fused regime");
+            let power = e_out[k] / t_out[k];
+            assert_eq!(p_out[k].to_bits(), power.to_bits(), "trial {trial} fused power");
+            let regime = model.regime_at(flops[k] / bytes[k]);
+            assert_eq!(r_out[k], regime, "trial {trial} fused regime");
         }
     }
 }
@@ -193,9 +176,7 @@ fn intensity_kernels_bit_identical_on_adversarial_points() {
             xs.push(rng.log_range(1e-4, 1e6));
         }
         let mut power = vec![0.0; xs.len()];
-        let mut regime = vec![Regime::MemoryBound; xs.len()];
         plan.avg_power_batch(&xs, &mut power);
-        plan.regime_batch(&xs, &mut regime);
         for (k, &x) in xs.iter().enumerate() {
             assert_eq!(
                 power[k].to_bits(),
@@ -203,14 +184,15 @@ fn intensity_kernels_bit_identical_on_adversarial_points() {
                 "trial {trial}, I = {x}"
             );
             assert!(power[k].is_finite(), "trial {trial}: non-finite power at I = {x}");
+        }
+        // The fused power+regime pass: the same power curve, and the regimes.
+        let mut pw = vec![0.0; xs.len()];
+        let mut regime = vec![Regime::MemoryBound; xs.len()];
+        plan.power_regime_batch(&xs, &mut pw, &mut regime);
+        assert!(pw.iter().zip(&power).all(|(a, b)| a.to_bits() == b.to_bits()));
+        for (k, &x) in xs.iter().enumerate() {
             assert_eq!(regime[k], model.regime_at(x), "trial {trial}, I = {x}");
         }
-        // The fused power+regime pass matches the two separate ones.
-        let mut pw = vec![0.0; xs.len()];
-        let mut rg = vec![Regime::MemoryBound; xs.len()];
-        plan.power_regime_batch(&xs, &mut pw, &mut rg);
-        assert!(pw.iter().zip(&power).all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert_eq!(rg, regime, "trial {trial}");
         // perf/energy-eff require positive finite intensity.
         let pos: Vec<f64> = xs.iter().copied().filter(|x| *x > 0.0 && x.is_finite()).collect();
         let mut perf = vec![0.0; pos.len()];
@@ -289,10 +271,6 @@ fn degenerate_workload_points_match_scalar_bitwise() {
         let (mut t, mut e, mut p) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
         let mut r = vec![Regime::MemoryBound; n];
         plan.evaluate_batch(&flops, &bytes, &mut t, &mut e, &mut p, &mut r);
-        let mut t1 = vec![0.0; n];
-        let mut e1 = vec![0.0; n];
-        plan.time_batch(&flops, &bytes, &mut t1);
-        plan.energy_batch(&flops, &bytes, &mut e1);
         for k in 0..n {
             let (st, se, sp, sr) = plan.evaluate(flops[k], bytes[k]);
             let ctx = format!("W = {}, Q = {}", flops[k], bytes[k]);
@@ -300,8 +278,6 @@ fn degenerate_workload_points_match_scalar_bitwise() {
             assert_eq!(e[k].to_bits(), se.to_bits(), "energy, {ctx}");
             assert_eq!(p[k].to_bits(), sp.to_bits(), "power, {ctx}");
             assert_eq!(r[k], sr, "regime, {ctx}");
-            assert_eq!(t1[k].to_bits(), plan.time(flops[k], bytes[k]).to_bits(), "time_batch, {ctx}");
-            assert_eq!(e1[k].to_bits(), plan.energy(flops[k], bytes[k]).to_bits(), "energy_batch, {ctx}");
         }
     }
 }
@@ -309,7 +285,8 @@ fn degenerate_workload_points_match_scalar_bitwise() {
 /// Every batch kernel — including the fused ones — straddled across
 /// `PAR_THRESHOLD ± 1`: at `n = PAR_THRESHOLD - 1` the serial path runs, at
 /// `n = PAR_THRESHOLD + 1` the executor path runs, and both are bit-identical
-/// to the `_serial` variant (which is in turn checked per-point above).
+/// to the `_serial` twin where one exists (itself checked per-point above),
+/// else to a per-point loop over the scalar methods.
 #[test]
 fn parallel_dispatch_bit_identical_to_serial_above_threshold() {
     let mut rng = Lcg(0xA5A5_0003);
@@ -327,26 +304,6 @@ fn parallel_dispatch_bit_identical_to_serial_above_threshold() {
         plan.avg_power_batch_serial(&xs, &mut b);
         assert_eq!(bits(&a), bits(&b), "avg_power n={n}");
 
-        plan.time_batch(&flops, &bytes, &mut a);
-        plan.time_batch_serial(&flops, &bytes, &mut b);
-        assert_eq!(bits(&a), bits(&b), "time n={n}");
-
-        plan.energy_batch(&flops, &bytes, &mut a);
-        plan.energy_batch_serial(&flops, &bytes, &mut b);
-        assert_eq!(bits(&a), bits(&b), "energy n={n}");
-
-        let (mut t2, mut e2) = (vec![0.0; n], vec![0.0; n]);
-        plan.time_energy_batch(&flops, &bytes, &mut a, &mut b);
-        plan.time_energy_batch_serial(&flops, &bytes, &mut t2, &mut e2);
-        assert_eq!(bits(&a), bits(&t2), "time_energy t n={n}");
-        assert_eq!(bits(&b), bits(&e2), "time_energy e n={n}");
-
-        let mut rg_a = vec![Regime::MemoryBound; n];
-        let mut rg_b = vec![Regime::MemoryBound; n];
-        plan.regime_batch(&xs, &mut rg_a);
-        plan.regime_batch_serial(&xs, &mut rg_b);
-        assert_eq!(rg_a, rg_b, "regime n={n}");
-
         plan.perf_batch(&xs, &mut a);
         plan.perf_batch_serial(&xs, &mut b);
         assert_eq!(bits(&a), bits(&b), "perf n={n}");
@@ -355,21 +312,24 @@ fn parallel_dispatch_bit_identical_to_serial_above_threshold() {
         plan.energy_eff_batch_serial(&xs, &mut b);
         assert_eq!(bits(&a), bits(&b), "energy_eff n={n}");
 
+        let power: Vec<f64> = xs.iter().map(|&x| plan.avg_power_at(x)).collect();
+        let regimes: Vec<Regime> = xs.iter().map(|&x| plan.regime_at(x)).collect();
+        let mut rg_a = vec![Regime::MemoryBound; n];
         plan.power_regime_batch(&xs, &mut a, &mut rg_a);
-        plan.power_regime_batch_serial(&xs, &mut b, &mut rg_b);
-        assert_eq!(bits(&a), bits(&b), "power_regime p n={n}");
-        assert_eq!(rg_a, rg_b, "power_regime r n={n}");
+        assert_eq!(bits(&a), bits(&power), "power_regime p n={n}");
+        assert_eq!(rg_a, regimes, "power_regime r n={n}");
 
-        let (mut f1, mut f2) = (vec![0.0; n], vec![0.0; n]);
-        let (mut g1, mut g2) = (vec![0.0; n], vec![0.0; n]);
+        let perf: Vec<f64> = xs.iter().map(|&x| plan.perf_at(x)).collect();
+        let eff: Vec<f64> = xs.iter().map(|&x| plan.energy_eff_at(x)).collect();
+        let (mut f1, mut g1) = (vec![0.0; n], vec![0.0; n]);
         plan.efficiency_batch(&xs, &mut f1, &mut g1, &mut a);
-        plan.efficiency_batch_serial(&xs, &mut f2, &mut g2, &mut b);
-        assert_eq!(bits(&f1), bits(&f2), "efficiency perf n={n}");
-        assert_eq!(bits(&g1), bits(&g2), "efficiency eff n={n}");
-        assert_eq!(bits(&a), bits(&b), "efficiency p n={n}");
+        assert_eq!(bits(&f1), bits(&perf), "efficiency perf n={n}");
+        assert_eq!(bits(&g1), bits(&eff), "efficiency eff n={n}");
+        assert_eq!(bits(&a), bits(&power), "efficiency p n={n}");
 
         let (mut ta, mut ea, mut pa) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
         let (mut tb, mut eb, mut pb) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        let mut rg_b = vec![Regime::MemoryBound; n];
         plan.evaluate_batch(&flops, &bytes, &mut ta, &mut ea, &mut pa, &mut rg_a);
         plan.evaluate_batch_serial(&flops, &bytes, &mut tb, &mut eb, &mut pb, &mut rg_b);
         assert_eq!(bits(&ta), bits(&tb), "evaluate t n={n}");

@@ -39,7 +39,8 @@ use crate::telemetry;
 /// only in-process callers change them.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker shards (platforms hash onto these). Minimum 1.
+    /// Worker shards, one breaker each. The 12 catalog platforms share the default 4, so a
+    /// tripped breaker also refuses its shard's healthy co-tenants. Minimum 1.
     pub shards: usize,
     /// Bounded queue length per shard; a full queue sheds. Minimum 1.
     pub queue_bound: usize,
@@ -197,10 +198,9 @@ fn undo_depth(shard: &Shard) {
     shard.depth.adjust_owned(-1);
 }
 
-/// FNV-1a over the parameter bits, used only to pick the shard: equal
-/// params always co-locate, so a platform's failures trip only its own
-/// shard's breaker; the cap arm is folded in so a what-if cap override
-/// hashes apart from the base platform entry.
+/// FNV-1a over the parameter bits, used only to pick the shard: equal params co-locate, and the
+/// 12 catalog platforms share 4 breakers, so a tripped one also refuses its shard's healthy
+/// co-tenants. The cap arm is folded in so a what-if cap override hashes apart from its platform.
 fn params_key(p: &MachineParams) -> u64 {
     const OFFSET: u64 = 0xcbf29ce484222325;
     const PRIME: u64 = 0x100000001b3;
