@@ -9,7 +9,6 @@
 //! * [`ols`] — multivariate ordinary least squares (+ a non-negative
 //!   variant used for energy decompositions).
 //! * [`nelder_mead`] — derivative-free simplex minimization.
-//! * [`lm`] — Levenberg–Marquardt with a numeric Jacobian.
 //! * [`measurement`] — the `(W, Q, time, energy)` run tuples produced by
 //!   the microbenchmark suite.
 //! * [`pipeline`] — the staged fit: sustained peaks → linear energy
@@ -18,13 +17,14 @@
 //! * [`residuals`] — the relative-error distributions Fig. 4 analyzes.
 //! * [`robust`] — typed fit errors, MAD outlier rejection, Huber loss,
 //!   and the perturbed-restart policy for dirty measurements.
+//! * [`ci`] — percentile bootstrap intervals for the fitted constants.
+//! * [`selection`] — AICc scores across the model families.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ci;
 pub mod linalg;
-pub mod lm;
 pub mod measurement;
 pub mod nelder_mead;
 pub mod ols;
@@ -34,7 +34,6 @@ pub mod robust;
 pub mod selection;
 
 pub use ci::{fit_platform_ci, FitCi, Interval};
-pub use lm::{levenberg_marquardt, LmOptions, LmResult};
 pub use measurement::{MeasurementSet, Run};
 pub use nelder_mead::{nelder_mead, NmOptions, NmResult};
 pub use ols::{ols, ols_nonneg};

@@ -37,20 +37,6 @@ pub struct PlatformAnalysis {
     pub fit: FitReport,
 }
 
-/// Runs the suite and fit for every platform (in Fig. 5 panel order),
-/// concurrently across platforms.
-///
-/// # Panics
-/// Panics if any platform fails to fit; use [`analyze_outcome`] where
-/// partial failure must be survivable.
-pub fn analyze_all(cfg: &SweepConfig) -> Vec<PlatformAnalysis> {
-    let (healthy, failures) = analyze_outcome(cfg, &[]);
-    if let Some(first) = failures.first() {
-        panic!("{first}");
-    }
-    healthy
-}
-
 /// Runs the suite and fit for every platform with per-platform failure
 /// isolation, optionally corrupting named platforms' DRAM sweeps with
 /// seeded fault plans (those platforms are fitted with the robust policy).
@@ -136,7 +122,8 @@ mod tests {
 
     #[test]
     fn analyzes_all_twelve_platforms() {
-        let all = analyze_all(&fast_config());
+        let (all, failures) = analyze_outcome(&fast_config(), &[]);
+        assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(all.len(), 12);
         assert_eq!(all[0].platform.name, "GTX Titan");
         for a in &all {
@@ -169,7 +156,8 @@ mod tests {
         assert!(failures.is_empty(), "{failures:?}");
         let titan = healthy.iter().find(|a| a.platform.name == "GTX Titan").unwrap();
         assert!(titan.fit.capped_diag.rejected_runs > 0);
-        let clean = analyze_all(&fast_config());
+        let (clean, clean_failures) = analyze_outcome(&fast_config(), &[]);
+        assert!(clean_failures.is_empty(), "{clean_failures:?}");
         let clean_titan = clean.iter().find(|a| a.platform.name == "GTX Titan").unwrap();
         let rel = |a: f64, b: f64| (a - b).abs() / b;
         assert!(

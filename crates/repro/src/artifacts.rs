@@ -1,11 +1,10 @@
-//! Shared artifact entry points: the dispatch table the `repro` bin, the
-//! serve crate, and integration tests all call into.
+//! Shared artifact entry point: the dispatch table the `repro` bin, the
+//! benchmark harness and the integration tests all call into.
 //!
 //! Each artifact is a pure function of an [`AnalysisContext`] (plus the
 //! `fast` knob) returning the rendered text and the machine-readable JSON
 //! report. Keeping the dispatch here — instead of inside the bin — means
-//! any long-running front-end (archline-serve) can serve artifacts without
-//! shelling out to the CLI or duplicating the name → handler mapping.
+//! every caller shares one name → handler mapping.
 
 use crate::{
     ext, fig1, fig4, fig5, fig6, fig7, scorecard, section_vc, section_vd, table1,
@@ -31,11 +30,6 @@ pub const ARTIFACTS: &[&str] = &[
     "scorecard",
 ];
 
-/// True when `name` is a known artifact (the bin validates before running).
-pub fn is_artifact(name: &str) -> bool {
-    ARTIFACTS.contains(&name)
-}
-
 /// Serializes a report, mapping serializer errors into the failure path.
 fn to_json<T: serde::Serialize>(name: &str, report: &T) -> Result<String, ArtifactError> {
     serde_json::to_string_pretty(report)
@@ -51,7 +45,7 @@ pub fn run_artifact(
 ) -> Result<(String, String), ArtifactError> {
     match name {
         "table1" => {
-            let r = table1::compute_with(ctx, !fast);
+            let r = table1::compute(ctx, !fast);
             Ok((table1::render(&r), to_json(name, &r)?))
         }
         "fig1" => {
@@ -59,35 +53,35 @@ pub fn run_artifact(
             Ok((fig1::render(&r), to_json(name, &r)?))
         }
         "fig4" => {
-            let r = fig4::compute_with(ctx);
+            let r = fig4::compute(ctx);
             Ok((fig4::render(&r), to_json(name, &r)?))
         }
         "fig5" => {
-            let r = fig5::compute_with(ctx);
+            let r = fig5::compute(ctx);
             Ok((fig5::render(&r), to_json(name, &r)?))
         }
         "fig6" => {
-            let r = fig6::compute_with(ctx);
+            let r = fig6::compute();
             Ok((fig6::render(&r), to_json(name, &r)?))
         }
         "fig7a" => {
-            let r = fig7::compute_with(ctx, fig7::Fig7Kind::Performance);
+            let r = fig7::compute(fig7::Fig7Kind::Performance);
             Ok((fig7::render(&r), to_json(name, &r)?))
         }
         "fig7b" => {
-            let r = fig7::compute_with(ctx, fig7::Fig7Kind::EnergyEfficiency);
+            let r = fig7::compute(fig7::Fig7Kind::EnergyEfficiency);
             Ok((fig7::render(&r), to_json(name, &r)?))
         }
         "vc-energy" | "vc-constpower" => {
-            let r = section_vc::compute_with(ctx);
+            let r = section_vc::compute();
             Ok((section_vc::render(&r), to_json(name, &r)?))
         }
         "vd-bounding" => {
-            let r = section_vd::compute_with(ctx);
+            let r = section_vd::compute();
             Ok((section_vd::render(&r), to_json(name, &r)?))
         }
         "ext-arndale" => {
-            let r = ext::arndale_ablation_with(ctx)?;
+            let r = ext::arndale_ablation(ctx)?;
             Ok((ext::render_arndale(&r), to_json(name, &r)?))
         }
         "ext-network" => {
@@ -103,7 +97,7 @@ pub fn run_artifact(
             Ok((ext::render_dvfs(&r), to_json(name, &r)?))
         }
         "scorecard" => {
-            let r = scorecard::compute_with(ctx);
+            let r = scorecard::compute(ctx);
             Ok((scorecard::render(&r), to_json(name, &r)?))
         }
         other => Err(ArtifactError::new(format!("unknown artifact `{other}`"))),
@@ -123,9 +117,11 @@ mod tests {
 
     #[test]
     fn every_listed_artifact_is_recognized() {
-        for name in ARTIFACTS {
-            assert!(is_artifact(name));
+        // `repro all` runs each listed name once, and the bin's `all`
+        // keyword must not shadow an artifact.
+        for (i, name) in ARTIFACTS.iter().enumerate() {
+            assert!(!ARTIFACTS[..i].contains(name), "`{name}` listed twice");
         }
-        assert!(!is_artifact("all"));
+        assert!(!ARTIFACTS.contains(&"all"));
     }
 }

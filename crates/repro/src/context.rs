@@ -14,9 +14,9 @@
 //! sweep, and [`Self::analyses`] serves the healthy subset. Artifacts mark
 //! those platforms degraded rather than crashing.
 //!
-//! Each artifact module exposes a `compute_with(&AnalysisContext, ...)`
-//! entry point; the original config-only `compute` functions remain as thin
-//! wrappers that build a throwaway context.
+//! Each sweep-backed artifact's `compute` takes `&AnalysisContext`; the
+//! model-only artifacts (Figs. 1, 6 and 7, §V-C, §V-D and the `ext-*`
+//! what-ifs) take no context at all.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -31,11 +31,8 @@ use archline_platforms::Precision;
 
 /// Artifact requests that found the shared sweep already memoized.
 static CACHE_HITS: Counter = Counter::new("repro.cache.hits");
-/// Artifact requests that had to run the sweep (1 per healthy context).
+/// Artifact requests that had to run the sweep (1 per context).
 static CACHE_MISSES: Counter = Counter::new("repro.cache.misses");
-/// Approximate memoized payload size (serialized JSON bytes of the healthy
-/// analyses), accumulated across contexts.
-static CACHE_BYTES: Counter = Counter::new("repro.cache.bytes");
 
 use crate::analysis::{analyze_outcome, PlatformAnalysis};
 use crate::failure::PlatformFailure;
@@ -54,7 +51,6 @@ pub struct AnalysisContext {
     outcome: OnceLock<(Vec<PlatformAnalysis>, Vec<PlatformFailure>)>,
     doubles: OnceLock<Vec<Option<FittedValue>>>,
     sweep_misses: AtomicUsize,
-    sweep_hits: AtomicUsize,
 }
 
 impl AnalysisContext {
@@ -75,7 +71,6 @@ impl AnalysisContext {
             outcome: OnceLock::new(),
             doubles: OnceLock::new(),
             sweep_misses: AtomicUsize::new(0),
-            sweep_hits: AtomicUsize::new(0),
         }
     }
 
@@ -86,7 +81,6 @@ impl AnalysisContext {
 
     fn outcome(&self) -> &(Vec<PlatformAnalysis>, Vec<PlatformFailure>) {
         if let Some(cached) = self.outcome.get() {
-            self.sweep_hits.fetch_add(1, Ordering::Relaxed);
             CACHE_HITS.inc();
             return cached;
         }
@@ -95,17 +89,6 @@ impl AnalysisContext {
             CACHE_MISSES.inc();
             let _span = obs::span(obs::Level::Debug, "repro", "sweep");
             let outcome = analyze_outcome(&self.cfg, &self.sabotage);
-            // Size the memoized payload so traces/metrics show what the
-            // cache holds. Sizing means serializing the analyses, which is
-            // not free — so unlike plain counters it only runs when
-            // something is actually listening (the bytes counter reads 0
-            // otherwise).
-            let bytes = if obs::enabled(obs::Level::Debug) || obs::profile::profiling() {
-                serde_json::to_string(&outcome.0).map(|s| s.len() as u64).unwrap_or(0)
-            } else {
-                0
-            };
-            CACHE_BYTES.add(bytes);
             obs::emit(
                 obs::Level::Debug,
                 "repro",
@@ -113,7 +96,6 @@ impl AnalysisContext {
                 &[
                     field("platforms", outcome.0.len()),
                     field("failures", outcome.1.len()),
-                    field("bytes", bytes),
                 ],
             );
             outcome
@@ -155,12 +137,6 @@ impl AnalysisContext {
         })
     }
 
-    /// How many [`Self::analyses`]/[`Self::failures`] calls found the sweep
-    /// already computed.
-    pub fn sweep_hits(&self) -> usize {
-        self.sweep_hits.load(Ordering::Relaxed)
-    }
-
     /// How many times the sweep was actually run (1 after any use; the whole
     /// point of the cache is that it never reaches 2).
     pub fn sweep_misses(&self) -> usize {
@@ -180,11 +156,11 @@ mod tests {
         let ctx = AnalysisContext::new(fast_config());
         assert_eq!(ctx.sweep_misses(), 0, "lazy until first use");
 
-        let t1 = table1::compute_with(&ctx, false);
-        let f4 = fig4::compute_with(&ctx);
-        let f5 = fig5::compute_with(&ctx);
-        let sc = scorecard::compute_with(&ctx);
-        let ab = ext::arndale_ablation_with(&ctx).expect("Arndale healthy");
+        let t1 = table1::compute(&ctx, false);
+        let f4 = fig4::compute(&ctx);
+        let f5 = fig5::compute(&ctx);
+        let sc = scorecard::compute(&ctx);
+        let ab = ext::arndale_ablation(&ctx).expect("Arndale healthy");
 
         assert_eq!(t1.rows.len(), 12);
         assert_eq!(f4.rows.len(), 12);
@@ -192,15 +168,18 @@ mod tests {
         assert!(!sc.claims.is_empty());
         assert!(ab.true_depth > 0.0);
         assert_eq!(ctx.sweep_misses(), 1, "sweep must run exactly once");
-        assert!(ctx.sweep_hits() >= 4, "artifacts after the first all hit");
     }
 
     #[test]
     fn context_results_match_uncached_compute() {
+        // A context that has already served other artifacts answers from
+        // its memo; each fresh context runs its own sweep.
         let cfg = fast_config();
         let ctx = AnalysisContext::new(cfg);
-        assert_eq!(table1::compute_with(&ctx, false), table1::compute(&cfg, false));
-        assert_eq!(fig4::compute_with(&ctx), fig4::compute(&cfg));
+        let _ = fig5::compute(&ctx);
+        let _ = scorecard::compute(&ctx);
+        assert_eq!(table1::compute(&ctx, false), table1::compute(&AnalysisContext::new(cfg), false));
+        assert_eq!(fig4::compute(&ctx), fig4::compute(&AnalysisContext::new(cfg)));
     }
 
     #[test]
@@ -226,7 +205,7 @@ mod tests {
         assert_eq!(ctx.failures()[0].name, "Xeon Phi");
         assert_eq!(ctx.sweep_misses(), 1, "failure path shares the memo");
         // Artifacts over the degraded context still complete.
-        let t1 = table1::compute_with(&ctx, false);
+        let t1 = table1::compute(&ctx, false);
         assert_eq!(t1.rows.len(), 11);
         assert_eq!(t1.degraded.len(), 1);
         assert_eq!(t1.degraded[0].name, "Xeon Phi");

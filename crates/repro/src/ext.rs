@@ -21,7 +21,6 @@ use archline_core::{
     power_match_with, DvfsModel, EnergyRoofline, Interconnect, UtilizationScaledModel, Workload,
 };
 use archline_core::extended::fit_depth;
-use archline_microbench::SweepConfig;
 use archline_platforms::{platform, PlatformId, Precision};
 
 use crate::context::AnalysisContext;
@@ -57,21 +56,15 @@ pub struct ArndaleAblation {
     pub clean_max: f64,
 }
 
-/// Runs the Arndale ablation.
+/// Runs the Arndale ablation from a shared [`AnalysisContext`], reusing the
+/// context's Arndale GPU suite and refit. Errors when the Arndale GPU is
+/// missing from the sweep — i.e. its measure-and-fit was degraded.
 ///
 /// The comparison is anchored on the *published* Table I constants (as the
 /// paper's Fig. 5 is): a free refit would simply absorb the dip into a
 /// lower Δπ, hiding the effect the refinement is meant to explain. (The
 /// refit is still performed; its diagnostics are not used here.)
-pub fn arndale_ablation(cfg: &SweepConfig) -> Result<ArndaleAblation, ArtifactError> {
-    arndale_ablation_with(&AnalysisContext::new(*cfg))
-}
-
-/// Runs the Arndale ablation from a shared [`AnalysisContext`], reusing the
-/// context's Arndale GPU suite and refit (bit-identical inputs: same spec,
-/// config, and seeds as a standalone sweep). Errors when the Arndale GPU is
-/// missing from the sweep — i.e. its measure-and-fit was degraded.
-pub fn arndale_ablation_with(ctx: &AnalysisContext) -> Result<ArndaleAblation, ArtifactError> {
+pub fn arndale_ablation(ctx: &AnalysisContext) -> Result<ArndaleAblation, ArtifactError> {
     let a = ctx
         .analyses()
         .iter()
@@ -349,7 +342,7 @@ mod tests {
 
     #[test]
     fn scaled_model_halves_arndale_error() {
-        let a = arndale_ablation(&fast_config()).unwrap();
+        let a = arndale_ablation(&AnalysisContext::new(fast_config())).unwrap();
         assert!(a.clean_max < 0.15, "paper bound: {}", a.clean_max);
         assert!(a.clean_max > 0.01, "quirk should be visible: {}", a.clean_max);
         assert!(
@@ -443,7 +436,7 @@ mod tests {
             fast_config(),
             vec![("Arndale GPU".to_string(), plan)],
         );
-        let err = arndale_ablation_with(&ctx).unwrap_err();
+        let err = arndale_ablation(&ctx).unwrap_err();
         assert!(err.message.contains("degraded"), "{err}");
     }
 }

@@ -4,7 +4,6 @@
 use serde::{Deserialize, Serialize};
 
 use archline_fit::{relative_errors, select_model, ErrorKind};
-use archline_microbench::SweepConfig;
 use archline_stats::{
     boxplot, ks_two_sample, mann_whitney_u, quantile, BoxplotStats, KsResult, MannWhitneyResult,
 };
@@ -76,13 +75,8 @@ impl Fig4Report {
     }
 }
 
-/// Regenerates Fig. 4 from simulated measurements.
-pub fn compute(cfg: &SweepConfig) -> Fig4Report {
-    compute_with(&AnalysisContext::new(*cfg))
-}
-
 /// Regenerates Fig. 4 from a shared [`AnalysisContext`] (no re-sweep).
-pub fn compute_with(ctx: &AnalysisContext) -> Fig4Report {
+pub fn compute(ctx: &AnalysisContext) -> Fig4Report {
     let mut rows: Vec<Fig4Row> = ctx.analyses().iter().map(row_for).collect();
     rows.sort_by(|a, b| {
         b.uncapped_median_abs()
@@ -171,7 +165,7 @@ mod tests {
 
     #[test]
     fn capped_model_dominates_uncapped() {
-        let report = compute(&fast_config());
+        let report = compute(&AnalysisContext::new(fast_config()));
         assert_eq!(report.rows.len(), 12);
         // The paper's headline qualitative claim: the capped model's error
         // distributions are lower or tighter on every platform.
@@ -194,7 +188,7 @@ mod tests {
         // constants — undetectable from the published model; the paper's
         // stars there must reflect empirical effects beyond those
         // constants. All other ten platforms must match.
-        let report = compute(&fast_config());
+        let report = compute(&AnalysisContext::new(fast_config()));
         assert!(report.star_agreement() >= 10, "agreement {}/12", report.star_agreement());
         for r in &report.rows {
             match r.name.as_str() {
@@ -215,7 +209,7 @@ mod tests {
         // platforms where the two fits coincide, the uncapped family's
         // fewer parameters may win — but never by explaining the data
         // better.
-        let report = compute(&fast_config());
+        let report = compute(&AnalysisContext::new(fast_config()));
         for r in &report.rows {
             if r.starred {
                 assert_eq!(r.aic_preferred, "capped", "{}", r.name);
@@ -234,7 +228,7 @@ mod tests {
         // U test must therefore be the weaker of the two — it may fail to
         // reject on starred platforms, but must never reject where K-S
         // does not.
-        let report = compute(&fast_config());
+        let report = compute(&AnalysisContext::new(fast_config()));
         for r in &report.rows {
             assert!((0.0..=1.0).contains(&r.mann_whitney.p_value), "{}", r.name);
             if r.mann_whitney.significant_at(0.05) {
@@ -252,7 +246,7 @@ mod tests {
         // The paper's omitted-for-space time/energy distributions should
         // separate at least as strongly where the cap slows execution: on
         // the power-starred platforms, time-error K-S must also reject.
-        let report = compute(&fast_config());
+        let report = compute(&AnalysisContext::new(fast_config()));
         for r in &report.rows {
             if r.starred {
                 assert!(
@@ -270,7 +264,7 @@ mod tests {
     fn uncapped_errors_bias_positive_in_cap_region() {
         // The paper: "the bias is to overpredict". Uncapped q3 should sit
         // clearly positive on starred platforms.
-        let report = compute(&fast_config());
+        let report = compute(&AnalysisContext::new(fast_config()));
         let starred: Vec<_> = report.rows.iter().filter(|r| r.paper_starred).collect();
         let positive = starred.iter().filter(|r| r.uncapped_box.q3 > 0.0).count();
         assert!(positive >= starred.len() - 1, "{positive}/{}", starred.len());

@@ -87,13 +87,8 @@ pub struct Fig5Report {
     pub panels: Vec<Fig5Panel>,
 }
 
-/// Regenerates Fig. 5.
-pub fn compute(cfg: &SweepConfig) -> Fig5Report {
-    compute_with(&AnalysisContext::new(*cfg))
-}
-
 /// Regenerates Fig. 5 from a shared [`AnalysisContext`] (no re-sweep).
-pub fn compute_with(ctx: &AnalysisContext) -> Fig5Report {
+pub fn compute(ctx: &AnalysisContext) -> Fig5Report {
     let cfg = ctx.cfg();
     Fig5Report { panels: ctx.analyses().iter().map(|a| panel_for(a, cfg)).collect() }
 }
@@ -222,7 +217,7 @@ mod tests {
 
     #[test]
     fn headlines_match_paper_within_rounding() {
-        let report = compute(&fast_config());
+        let report = compute(&AnalysisContext::new(fast_config()));
         assert_eq!(report.panels.len(), 12);
         for p in &report.panels {
             let rel_f = (p.peak_flops_per_joule - p.paper_peak_flops_per_joule).abs()
@@ -235,7 +230,7 @@ mod tests {
     fn model_tracks_measurements_within_paper_bounds() {
         // The paper reports mispredictions "always less than 15 %" even on
         // the quirky platforms; clean platforms should be much tighter.
-        let report = compute(&fast_config());
+        let report = compute(&AnalysisContext::new(fast_config()));
         let records = archline_platforms::all_platforms();
         for p in &report.panels {
             let dev = p.max_measured_deviation();
@@ -252,7 +247,7 @@ mod tests {
 
     #[test]
     fn power_curves_respect_the_cap_plateau() {
-        let report = compute(&fast_config());
+        let report = compute(&AnalysisContext::new(fast_config()));
         for p in &report.panels {
             for m in &p.model {
                 assert!(m.power_norm <= 1.0 + 1e-9, "{} at I={}", p.name, m.intensity);

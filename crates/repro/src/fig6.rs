@@ -39,14 +39,6 @@ pub struct Fig6Report {
     pub panels: Vec<Fig6Panel>,
 }
 
-/// Regenerates Fig. 6 from a shared [`crate::context::AnalysisContext`].
-///
-/// Model-only: the context's sweep is not consulted; the entry point exists
-/// so every artifact exposes the same context-driven API.
-pub fn compute_with(_ctx: &crate::context::AnalysisContext) -> Fig6Report {
-    compute()
-}
-
 /// Regenerates Fig. 6 (model-only, from Table I constants).
 pub fn compute() -> Fig6Report {
     let panels = platforms_by_peak_efficiency()

@@ -41,12 +41,6 @@ pub struct Fig7Report {
     pub panels: Vec<Fig7Panel>,
 }
 
-/// Regenerates Fig. 7a or 7b from a shared
-/// [`crate::context::AnalysisContext`] (model-only; uniform artifact API).
-pub fn compute_with(_ctx: &crate::context::AnalysisContext, kind: Fig7Kind) -> Fig7Report {
-    compute(kind)
-}
-
 /// Regenerates Fig. 7a or 7b (model-only).
 pub fn compute(kind: Fig7Kind) -> Fig7Report {
     let titan = EnergyRoofline::new(

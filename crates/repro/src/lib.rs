@@ -43,7 +43,7 @@ pub mod table1;
 use archline_core::EnergyRoofline;
 use archline_platforms::{all_platforms, Platform, Precision};
 
-pub use artifacts::{is_artifact, run_artifact, ARTIFACTS};
+pub use artifacts::{run_artifact, ARTIFACTS};
 pub use context::AnalysisContext;
 pub use failure::{panic_message, ArtifactError, PlatformFailure};
 

@@ -1,4 +1,4 @@
-//! Plain-text table rendering and CSV export for the reports.
+//! Plain-text table rendering for the reports.
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -67,25 +67,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Renders as RFC-4180-ish CSV (quotes cells containing commas/quotes).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(&self.header.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a float with 3 significant digits (report-friendly).
@@ -117,17 +98,6 @@ mod tests {
         let off3 = lines[3].find('2').unwrap();
         assert!(off3 >= off2); // padded alignment puts both past the name column
         assert_eq!(lines[3].find("23456").unwrap(), "a-much-longer-name  ".len());
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let mut t = TextTable::new(vec!["a", "b"]);
-        t.row(vec!["plain", "with,comma"]);
-        t.row(vec!["with\"quote", "x"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"with,comma\""));
-        assert!(csv.contains("\"with\"\"quote\""));
-        assert!(csv.starts_with("a,b\n"));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 use serde::{Deserialize, Serialize};
 
 use archline_core::{crossovers, power_bounding, power_match, EnergyRoofline, Metric};
-use archline_microbench::SweepConfig;
 use archline_platforms::{all_platforms, platform, PlatformId, Precision};
 use archline_stats::pearson;
 
@@ -52,15 +51,9 @@ fn model(id: PlatformId) -> EnergyRoofline {
     EnergyRoofline::new(platform(id).machine_params(Precision::Single).expect("single"))
 }
 
-/// Computes the scorecard. The Fig. 4 check runs the simulated pipeline
-/// with `cfg`; everything else is model-only.
-pub fn compute(cfg: &SweepConfig) -> Scorecard {
-    compute_with(&AnalysisContext::new(*cfg))
-}
-
 /// Computes the scorecard from a shared [`AnalysisContext`]: the Fig. 4
-/// check reuses the context's sweep instead of re-running it.
-pub fn compute_with(ctx: &AnalysisContext) -> Scorecard {
+/// check reuses the context's sweep; everything else is model-only.
+pub fn compute(ctx: &AnalysisContext) -> Scorecard {
     let mut claims = Vec::new();
     let mut check = |source: &str, statement: &str, expected: String, actual: String, pass: bool| {
         claims.push(Claim {
@@ -236,7 +229,7 @@ pub fn compute_with(ctx: &AnalysisContext) -> Scorecard {
     );
 
     // Fig. 4 star pattern (simulated pipeline).
-    let fig4_report = fig4::compute_with(ctx);
+    let fig4_report = fig4::compute(ctx);
     let agreement = fig4_report.star_agreement();
     check(
         "Fig. 4",
@@ -288,7 +281,7 @@ mod tests {
 
     #[test]
     fn every_claim_passes() {
-        let card = compute(&fast_config());
+        let card = compute(&AnalysisContext::new(fast_config()));
         for c in &card.claims {
             assert!(c.pass, "{} — {}: expected {}, got {}", c.source, c.statement, c.expected, c.actual);
         }
@@ -304,7 +297,7 @@ mod tests {
             fast_config(),
             vec![("Desktop CPU".to_string(), plan)],
         );
-        let card = compute_with(&ctx);
+        let card = compute(&ctx);
         let health = card.claims.iter().find(|c| c.source == "pipeline").unwrap();
         assert!(!health.pass);
         assert!(health.actual.contains("Desktop CPU"), "{}", health.actual);
@@ -317,7 +310,7 @@ mod tests {
 
     #[test]
     fn render_contains_verdicts() {
-        let card = compute(&fast_config());
+        let card = compute(&AnalysisContext::new(fast_config()));
         let text = render(&card);
         assert!(text.contains("PASS"));
         assert!(text.contains("scorecard"));

@@ -38,12 +38,6 @@ pub struct SectionVcReport {
     pub correlation: f64,
 }
 
-/// Computes the §V-C analyses from a shared
-/// [`crate::context::AnalysisContext`] (model-only; uniform artifact API).
-pub fn compute_with(_ctx: &crate::context::AnalysisContext) -> SectionVcReport {
-    compute()
-}
-
 /// Computes the §V-C analyses (model-only, from Table I).
 pub fn compute() -> SectionVcReport {
     let featured = [PlatformId::XeonPhi, PlatformId::GtxTitan, PlatformId::ArndaleGpu];

@@ -20,12 +20,6 @@ pub struct SectionVdReport {
     pub outcome: PowerBoundingOutcome,
 }
 
-/// Computes the §V-D comparison from a shared
-/// [`crate::context::AnalysisContext`] (model-only; uniform artifact API).
-pub fn compute_with(_ctx: &crate::context::AnalysisContext) -> SectionVdReport {
-    compute()
-}
-
 /// Computes the §V-D power-bounding comparison.
 pub fn compute() -> SectionVdReport {
     let titan = platform(PlatformId::GtxTitan).machine_params(Precision::Single).expect("single");

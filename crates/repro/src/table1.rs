@@ -11,7 +11,6 @@
 use serde::{Deserialize, Serialize};
 
 use archline_fit::{fit_level_cost, fit_random_cost};
-use archline_microbench::SweepConfig;
 
 use crate::analysis::PlatformAnalysis;
 use crate::context::AnalysisContext;
@@ -87,15 +86,10 @@ pub struct Table1Report {
     pub degraded: Vec<DegradedPlatform>,
 }
 
-/// Regenerates Table I. `include_double` additionally sweeps the
-/// double-precision pipeline on platforms that support it (slower).
-pub fn compute(cfg: &SweepConfig, include_double: bool) -> Table1Report {
-    compute_with(&AnalysisContext::new(*cfg), include_double)
-}
-
-/// Regenerates Table I from a shared [`AnalysisContext`] (no re-sweep; the
-/// double-precision `ε_d` sweeps are memoized on the context too).
-pub fn compute_with(ctx: &AnalysisContext, include_double: bool) -> Table1Report {
+/// Regenerates Table I from a shared [`AnalysisContext`] (no re-sweep).
+/// `include_double` additionally sweeps the double-precision pipeline on
+/// platforms that support it (slower; memoized on the context too).
+pub fn compute(ctx: &AnalysisContext, include_double: bool) -> Table1Report {
     let analyses = ctx.analyses();
     let rows = analyses
         .iter()
@@ -213,6 +207,7 @@ pub fn render(report: &Table1Report) -> String {
 mod tests {
     use super::*;
     use crate::analysis::fast_config;
+    use archline_microbench::SweepConfig;
 
     #[test]
     fn pipeline_recovers_table1_within_tolerance() {
@@ -220,7 +215,7 @@ mod tests {
         use archline_platforms::{all_platforms, Precision};
 
         let cfg = fast_config();
-        let report = compute(&cfg, false);
+        let report = compute(&AnalysisContext::new(cfg), false);
         assert_eq!(report.rows.len(), 12);
         let records = all_platforms();
         for r in &report.rows {
@@ -271,7 +266,7 @@ mod tests {
     #[test]
     fn double_precision_constants_recovered_where_supported() {
         let cfg = SweepConfig { points: 17, target_secs: 0.05, level_runs: 1, random_runs: 1, ..fast_config() };
-        let report = compute(&cfg, true);
+        let report = compute(&AnalysisContext::new(cfg), true);
         let mut checked = 0;
         for r in &report.rows {
             match &r.eps_double {
@@ -307,7 +302,7 @@ mod tests {
             fast_config(),
             vec![("NUC GPU".to_string(), plan)],
         );
-        let report = compute_with(&ctx, false);
+        let report = compute(&ctx, false);
         assert_eq!(report.rows.len(), 11);
         assert_eq!(report.degraded.len(), 1);
         let text = render(&report);
@@ -318,12 +313,12 @@ mod tests {
 
     #[test]
     fn render_contains_all_platforms() {
-        let report = compute(&fast_config(), false);
+        let report = compute(&AnalysisContext::new(fast_config()), false);
         let text = render(&report);
         for name in ["GTX Titan", "Desktop CPU", "Arndale GPU"] {
             assert!(text.contains(name), "missing {name}");
         }
-        // CSV-able too.
+        // Cells show paper -> fitted.
         assert!(text.contains("->"));
     }
 }

@@ -56,9 +56,6 @@ pub struct ServeConfig {
     /// Chaos mode: corrupt these platforms' evaluation results with the
     /// given fault plans before validation (the `--inject` flag).
     pub inject: Vec<(String, FaultPlan)>,
-    /// Seed mixed into the trace ids minted for requests that arrive
-    /// without one.
-    pub seed: u64,
     /// Request telemetry: mint trace ids, stamp per-phase timestamps,
     /// record the phase histograms, and attach `trace`/`phases_us` to
     /// responses. Off leaves answers bit-identical minus those envelope
@@ -76,7 +73,6 @@ impl Default for ServeConfig {
             breaker_trip: 5,
             breaker_cooldown: Duration::from_millis(100),
             inject: Vec::new(),
-            seed: 0,
             telemetry: true,
         }
     }
@@ -498,7 +494,7 @@ impl ServeHandle {
         // only — minting an id for a request that never entered would make
         // the trace vocabulary lie about admission.
         let trace = if inner.config.telemetry {
-            Some(req.trace.unwrap_or_else(|| telemetry::mint_trace(inner.config.seed)))
+            Some(req.trace.unwrap_or_else(telemetry::mint_trace))
         } else {
             req.trace
         };

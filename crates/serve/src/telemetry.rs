@@ -1,8 +1,8 @@
 //! Trace-id minting and phase-decomposed latency instruments.
 //!
 //! Every admitted request runs under a [`TraceId`] (client-supplied or
-//! minted here — deterministically, from a process-wide counter mixed
-//! with the engine seed, never from wall-clock time) and carries
+//! minted here — deterministically, from a process-wide counter, never
+//! from wall-clock time) and carries
 //! monotonic per-phase timestamps. When a request is answered, the phase
 //! breakdown is recorded into its server's [`PhaseHistograms`], named
 //! `serve.phase.<phase>_us.<kind>`, which the `{"op":"metrics"}` wire op
@@ -104,14 +104,14 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// Mints a trace id for a request that arrived without one: splitmix64
-/// over a process-wide counter mixed with the engine seed. Deterministic
-/// for a given (seed, admission order) — no wall-clock input — and
-/// process-unique because the counter never repeats.
-pub(crate) fn mint_trace(seed: u64) -> TraceId {
+/// over a process-wide counter. Deterministic for a given admission
+/// order — no wall-clock input — and process-unique because the counter
+/// never repeats.
+pub(crate) fn mint_trace() -> TraceId {
     // ordering: Relaxed — RMW atomicity alone hands each mint a distinct
     // counter value; nothing else rides on this counter.
     let n = TRACE_COUNTER.fetch_add(1, Ordering::Relaxed);
-    TraceId(splitmix64(n ^ seed.rotate_left(32)))
+    TraceId(splitmix64(n))
 }
 
 #[cfg(test)]
@@ -120,11 +120,12 @@ mod tests {
 
     #[test]
     fn minted_traces_are_distinct() {
-        let a = mint_trace(7);
-        let b = mint_trace(7);
-        let c = mint_trace(8);
+        let a = mint_trace();
+        let b = mint_trace();
+        let c = mint_trace();
         assert_ne!(a, b);
         assert_ne!(b, c);
+        assert_ne!(a, c);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Pearson and Spearman correlation.
+//! Pearson correlation, and the mid-ranks the Mann–Whitney test uses.
 
 use crate::check_sample;
 
@@ -28,12 +28,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
         syy += dy * dy;
     }
     sxy / (sxx * syy).sqrt()
-}
-
-/// Spearman rank correlation: Pearson correlation of mid-ranks (ties get the
-/// average of the ranks they straddle).
-pub fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
-    pearson(&ranks(xs), &ranks(ys))
 }
 
 /// Mid-ranks of a sample (1-based; ties averaged).
@@ -81,15 +75,6 @@ mod tests {
     #[test]
     fn constant_sample_yields_nan() {
         assert!(pearson(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]).is_nan());
-    }
-
-    #[test]
-    fn spearman_ignores_monotone_transforms() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let ys: Vec<f64> = xs.iter().map(|&x| f64::exp(x)).collect();
-        assert!((spearman(&xs, &ys) - 1.0).abs() < 1e-12);
-        // Pearson of the same data is < 1 (nonlinear).
-        assert!(pearson(&xs, &ys) < 1.0);
     }
 
     #[test]

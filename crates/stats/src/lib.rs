@@ -4,9 +4,9 @@
 //! analysis uses (it used R): summary statistics, type-7 quantiles and
 //! boxplot five-number summaries (Fig. 4's boxplots), empirical CDFs, the
 //! two-sample Kolmogorov–Smirnov test with asymptotic p-values (Fig. 4's
-//! `**` significance marks), Pearson/Spearman correlation (§V-C's ≈ −0.6
-//! correlation between constant-power fraction and peak energy-efficiency),
-//! ordinary linear regression, percentile bootstrap, and histograms.
+//! `**` significance marks), the Mann–Whitney U test, and Pearson
+//! correlation (§V-C's ≈ −0.6 correlation between constant-power fraction
+//! and peak energy-efficiency).
 //!
 //! Everything operates on `&[f64]`; NaNs are rejected loudly rather than
 //! silently propagated.
@@ -14,25 +14,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bootstrap;
 pub mod corr;
 pub mod ecdf;
-pub mod histogram;
 pub mod ks;
-pub mod linfit;
 pub mod mannwhitney;
-pub mod means;
 pub mod quantiles;
 pub mod summary;
 
-pub use bootstrap::bootstrap_ci;
-pub use corr::{pearson, spearman};
+pub use corr::pearson;
 pub use ecdf::Ecdf;
-pub use histogram::Histogram;
 pub use ks::{ks_two_sample, KsResult};
-pub use linfit::{linear_fit, LinearFit};
 pub use mannwhitney::{mann_whitney_u, MannWhitneyResult};
-pub use means::{geometric_mean, harmonic_mean};
 pub use quantiles::{boxplot, quantile, BoxplotStats};
 pub use summary::Summary;
 

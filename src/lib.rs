@@ -13,7 +13,7 @@
 //!
 //! * [`model`] — the energy-roofline model (eqs. 1–7), scenarios, crossovers.
 //! * [`platforms`] — Table I as data.
-//! * [`stats`] — quantiles, K-S test, correlation, bootstrap.
+//! * [`stats`] — quantiles, K-S and Mann–Whitney tests, correlation.
 //! * [`fit`] — regression substrate and the model-fitting pipeline.
 //! * [`par`] — the minimal data-parallelism substrate.
 //! * [`faults`] — seeded fault injection over traces and measurement runs.

@@ -3,10 +3,19 @@
 //! round-trips — the contract the `repro --csv` output relies on.
 
 use archline::microbench::SweepConfig;
-use archline::repro::{ext, fig1, fig4, fig5, fig6, fig7, scorecard, section_vc, section_vd, table1};
+use archline::repro::{
+    ext, fig1, fig4, fig5, fig6, fig7, scorecard, section_vc, section_vd, table1, AnalysisContext,
+};
 
-fn tiny() -> SweepConfig {
-    SweepConfig { points: 17, target_secs: 0.04, level_runs: 1, random_runs: 1, ..Default::default() }
+/// A fresh context (no memoized sweep) over a small configuration.
+fn tiny() -> AnalysisContext {
+    AnalysisContext::new(SweepConfig {
+        points: 17,
+        target_secs: 0.04,
+        level_runs: 1,
+        random_runs: 1,
+        ..Default::default()
+    })
 }
 
 #[test]
@@ -93,7 +102,7 @@ fn extension_reports_serialize() {
 fn scorecard_serializes_and_all_pass() {
     // The Fig. 4 claim needs enough intensity points for K-S power; use
     // the standard fast configuration rather than the tiny smoke config.
-    let card = scorecard::compute(&archline::repro::analysis::fast_config());
+    let card = scorecard::compute(&AnalysisContext::new(archline::repro::analysis::fast_config()));
     let back: scorecard::Scorecard =
         serde_json::from_str(&serde_json::to_string(&card).unwrap()).unwrap();
     assert_eq!(back, card);

@@ -161,7 +161,6 @@ fn soak_one_class(class: FaultClass, seed: u64) {
         inject: vec![(sab.clone(), FaultPlan::new(vec![spec]))],
         breaker_trip: 3,
         breaker_cooldown: Duration::from_secs(3600),
-        seed,
         ..ServeConfig::default()
     })
     .expect("chaos server");
