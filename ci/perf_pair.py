@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Serve perf gate: the change against its parent commit, on one runner.
+"""Perf pair gate: the change against its parent commit, on one runner.
 
 Builds perfbench/ twice, at the parent commit and at the working tree, each
 with its own CARGO_TARGET_DIR. Then runs PAIRS alternating pairs of
@@ -10,8 +10,10 @@ in BENCHMARK.json, or when a run fails its checks. When the change touches
 a path BENCHMARK.json lists, the two sides are different benchmarks, so the
 script only reports.
 
-This is perfbench/README.md's "Comparing a change with its parent", cut to
-the serve workloads and to fewer, shorter pairs.
+This is perfbench/README.md's "Comparing a change with its parent" over all
+four workloads, cut to fewer, shorter pairs. `repro` runs at least
+perfbench's 100 regenerations whatever SECONDS says, about 15 s on a
+2-vCPU host.
 
 Usage (from the repo root): python3 ci/perf_pair.py [BASE]
 BASE defaults to HEAD^ (in a pull-request checkout, the base branch tip).
@@ -25,9 +27,9 @@ import subprocess
 import sys
 import tempfile
 
-WORKLOADS = ["serve-eval", "wire-mixed"]
+WORKLOADS = ["repro", "serve-eval", "serve-sweep", "wire-mixed"]
 PAIRS = 3
-SECONDS = 10
+SECONDS = 5
 METRIC = "throughput"
 
 
@@ -117,7 +119,7 @@ def main():
         shutil.rmtree(work, ignore_errors=True)
 
     for e in errors:
-        print("SERVE PAIR GATE FAIL:", e)
+        print("PERF PAIR GATE FAIL:", e)
     if touched:
         print("report only: the change edits the benchmark itself")
         return 0

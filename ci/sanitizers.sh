@@ -1,10 +1,11 @@
 #!/bin/sh
 # Optional dynamic-analysis suite:
-#   1. ThreadSanitizer over archline-par (executor/scope) and the
-#      serve chaos tests — the crates whose atomic orderings archline-lint
-#      audits statically get their happens-before edges checked dynamically.
-#   2. Miri over the archline-core plan kernels — UB check on the one
-#      workspace `unsafe` dependency chain and the batch kernel arithmetic.
+#   1. ThreadSanitizer over archline-par (fork-join on scoped threads) and
+#      the serve chaos tests — the crates whose atomic orderings
+#      archline-lint audits statically get their happens-before edges
+#      checked dynamically.
+#   2. Miri over the archline-core plan kernels — UB check on the batch
+#      kernel arithmetic and the parallel dispatch beneath it.
 #
 # Both need nightly-only toolchain pieces (-Zsanitizer, -Zbuild-std, miri).
 # The script PROBES for each and SKIPS missing pieces with exit 0 so the

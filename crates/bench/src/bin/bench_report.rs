@@ -12,7 +12,7 @@
 //!   call, so the compiler cannot turn the baseline loop into the batch
 //!   kernel);
 //! - `batch`: the serial SoA lane kernel;
-//! - `batch_par`: the adaptive-grain executor path (identical code to
+//! - `batch_par`: the adaptive-grain dispatching path (identical code to
 //!   `batch` when one worker).
 //!
 //! The GEMM section measures the branchless blocked SGEMM *and* the seed's

@@ -48,7 +48,7 @@ use crate::params::{Balances, MachineParams};
 use crate::power::{log_point, log_range, Regime};
 
 /// Batch sizes at or above this go through `archline-par`; smaller inputs
-/// are evaluated serially (spawn/steal overhead would dominate). The chunk
+/// are evaluated serially (thread spawn overhead would dominate). The chunk
 /// length itself adapts to input size and worker count — see
 /// [`archline_par::adaptive_grain`].
 pub const PAR_THRESHOLD: usize = 1 << 15;

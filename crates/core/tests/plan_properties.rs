@@ -284,7 +284,7 @@ fn degenerate_workload_points_match_scalar_bitwise() {
 
 /// Every batch kernel — including the fused ones — straddled across
 /// `PAR_THRESHOLD ± 1`: at `n = PAR_THRESHOLD - 1` the serial path runs, at
-/// `n = PAR_THRESHOLD + 1` the executor path runs, and both are bit-identical
+/// `n = PAR_THRESHOLD + 1` the parallel path runs, and both are bit-identical
 /// to the `_serial` twin where one exists (itself checked per-point above),
 /// else to a per-point loop over the scalar methods.
 #[test]

@@ -31,6 +31,7 @@ use serde::{Deserialize, Serialize};
 
 use archline_fit::Run;
 use archline_obs::{self as obs, field, Counter};
+use archline_powermon::noise::gauss;
 use archline_powermon::Sample;
 
 /// Fault-spec applications (one per spec per stream/run-set injected).
@@ -273,14 +274,6 @@ impl FaultPlan {
         }
         runs
     }
-}
-
-/// Standard normal via Box–Muller (the same construction the simulator's
-/// noise model uses; kept local so the crate stays self-contained).
-fn gauss<R: Rng>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// A gross multiplicative outlier, always ≥ e² ≈ 7.4×.

@@ -395,7 +395,7 @@ mod tests {
     #[test]
     fn attribute_with_semicolon_governs_nothing() {
         let src = "#[cfg(test)]\nuse foo::bar;\nfn live() { x.unwrap(); }\n";
-        let f = SourceFile::new("crates/par/src/executor.rs", src);
+        let f = SourceFile::new("crates/par/src/scope.rs", src);
         let idx = f.toks.iter().position(|t| t.text == "unwrap").expect("unwrap");
         assert!(!f.in_test[idx], "region after `;`-terminated item must stay live");
     }

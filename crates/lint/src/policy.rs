@@ -107,12 +107,12 @@ const DETERMINISM_CRATES: &[&str] =
     &["core", "stats", "fit", "platforms", "machine", "faults", "repro", "par"];
 
 /// Crates whose non-test code must justify every atomic ordering: the
-/// executor, the observability substrate, and the serving layer are the
-/// only places concurrency invariants live.
+/// fork-join layer, the observability substrate, and the serving layer are
+/// the only places concurrency invariants live.
 const ATOMICS_CRATES: &[&str] = &["par", "obs", "serve"];
 
 /// Hot paths that must stay panic-free by construction: the serve shard
-/// workers and the par executor/scope layer, whose `catch_unwind`
+/// workers and the par fork-join layer, whose `catch_unwind`
 /// isolation is a typed-error contract, not a panic dumping ground.
 const PANIC_CRATES: &[&str] = &["serve", "par"];
 
@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn panic_and_atomics_cover_the_concurrency_layer() {
         assert!(scope(Pass::PanicDiscipline, &class("crates/serve/src/server.rs")).is_some());
-        assert!(scope(Pass::PanicDiscipline, &class("crates/par/src/executor.rs")).is_some());
+        assert!(scope(Pass::PanicDiscipline, &class("crates/par/src/scope.rs")).is_some());
         assert!(scope(Pass::PanicDiscipline, &class("crates/fit/src/pipeline.rs")).is_none());
         assert!(scope(Pass::AtomicsAudit, &class("crates/obs/src/metrics.rs")).is_some());
         assert!(scope(Pass::AtomicsAudit, &class("crates/repro/src/context.rs")).is_none());

@@ -4,8 +4,9 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use archline_core::HierWorkload;
+use archline_powermon::noise::{box_muller, gauss_uniforms};
 
-use crate::noise::{box_muller, gauss_uniforms, RunNoise};
+use crate::noise::RunNoise;
 use crate::spec::{PlatformSpec, Quirk};
 
 /// One constant-power stretch of a run-length-encoded profile.

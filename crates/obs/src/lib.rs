@@ -7,7 +7,7 @@
 //!
 //! * **Hierarchical spans** ([`span`]) with monotonic timing (`Instant`,
 //!   never wall-clock) and per-thread nesting, closed by RAII guard — a
-//!   span opened inside a panicking executor task still closes during
+//!   span opened inside a panicking fork-join task still closes during
 //!   unwind.
 //! * **Process-wide metrics** ([`Counter`], [`Gauge`], [`Histogram`]):
 //!   lock-free atomic updates, registered lazily, snapshotted on demand.
@@ -73,7 +73,7 @@ pub enum Level {
     Info = 3,
     /// Stage-level detail: fit stages, rejection events, fault audits.
     Debug = 4,
-    /// Everything: per-task executor spans, NM iteration traces.
+    /// Everything: per-task fork-join spans, NM iteration traces.
     Trace = 5,
 }
 

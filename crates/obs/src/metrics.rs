@@ -11,7 +11,7 @@
 //! * `static TASKS: Counter = Counter::new("par.tasks");` — zero-cost
 //!   static with `const` construction, updated through the registering
 //!   `&'static self` entry points (`add`, `set`, `record`, …);
-//! * [`counter("par.worker.3.busy")`](counter) — dynamic names, leaked into
+//! * [`counter(name)`](counter) — a name built at run time, leaked into
 //!   the registry (bounded: one allocation per distinct name per process);
 //! * a plain struct field, updated through the `*_owned` methods, which
 //!   never touch the registry — the owner reports it (e.g. one server's

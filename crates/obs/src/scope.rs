@@ -4,8 +4,8 @@
 //! hears every other thread in the process. A [`Scope`] tags the current
 //! thread; the test capture sink ([`crate::CaptureSink`], behind
 //! [`crate::test_support::capture`]) keeps only events emitted under its
-//! scope. Code that hands work to another thread — the executor's tasks,
-//! the serve crate's shard and connection threads — carries the
+//! scope. Code that hands work to another thread — `archline-par`'s fork-join
+//! tasks, the serve crate's shard and connection threads — carries the
 //! submitter's scope across with [`current_scope`] and [`Scope::enter`], so
 //! the scope covers the capturing thread and the threads it puts to work.
 //!

@@ -2,8 +2,8 @@
 //! present, verbosity-gated, off by default) plus dynamically installed
 //! sinks — the JSONL trace stream and the test capture sink.
 //!
-//! All sinks must be thread-safe: events arrive concurrently from the
-//! work-stealing executor's workers. Each sink serializes internally
+//! All sinks must be thread-safe: events arrive concurrently from every
+//! thread a fork-join batch puts to work. Each sink serializes internally
 //! (one mutex-guarded writer per sink); the dispatch path itself only
 //! takes a read lock on the sink list.
 
@@ -148,8 +148,8 @@ fn emit_stderr(ev: &Event<'_>) {
 }
 
 /// Machine-readable JSONL sink: one event per line, ordered by `seq`,
-/// written through a mutex-guarded buffered writer (safe under the
-/// work-stealing executor). Accepts every level — verbosity filtering is
+/// written through a mutex-guarded buffered writer (safe under
+/// concurrent emitters). Accepts every level — verbosity filtering is
 /// the stderr sink's job; the trace is for machines.
 pub struct JsonlSink {
     w: Mutex<BufWriter<Box<dyn Write + Send>>>,

@@ -5,8 +5,7 @@
 //! pops it, computes the wall duration ([`std::time::Instant`], never
 //! wall-clock), emits `span_close`, and — when profiling is on — folds the
 //! timing into the self-time profile. Parentage is per-thread: a span
-//! opened on an executor worker roots a fresh tree on that worker, which is
-//! exactly how work-stealing execution looks from the inside.
+//! opened on a fork-join helper thread roots a fresh tree on that thread.
 //!
 //! Time a span spends blocked — joining another thread, waiting on a
 //! condition variable — is booked as *wait* through [`wait`], not as self
@@ -14,8 +13,8 @@
 //! like work.
 //!
 //! Panic safety: the guard closes in `Drop`, so a span opened inside a task
-//! that panics still closes while the panic unwinds toward the executor's
-//! `catch_unwind` — no dangling `span_open` in the trace.
+//! that panics still closes while the panic unwinds toward the fork-join
+//! batch's `catch_unwind` — no dangling `span_open` in the trace.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};

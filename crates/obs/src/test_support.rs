@@ -5,11 +5,11 @@
 //! threads, so a capture window would also hear every other test that emits
 //! while it is open. `capture` therefore runs the closure under a fresh
 //! [`Scope`] and keeps only events emitted under it: the capturing thread's
-//! own, plus those of the threads and executor tasks it puts to work (the
-//! executor and the serve crate's shard and connection threads carry the
-//! submitter's scope across, see [`crate::scope`]). A global mutex still
-//! serializes capture windows, because the stderr level and the sink set
-//! are process-wide.
+//! own, plus those of the threads and fork-join tasks it puts to work
+//! (`archline-par`'s batches and the serve crate's shard and connection
+//! threads carry the submitter's scope across, see [`crate::scope`]). A
+//! global mutex still serializes capture windows, because the stderr level
+//! and the sink set are process-wide.
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 

@@ -3,34 +3,29 @@
 //! A small, from-scratch parallelism layer used by the microbenchmark
 //! kernels and the multi-platform sweeps, in place of an external library
 //! such as rayon (per the reproduction's build-everything rule). The crate
-//! has no dependencies outside `std`.
-//!
-//! Everything runs on one **process-wide, lazily-initialized work-stealing
-//! [`Executor`](executor::Executor)**:
+//! has no dependencies outside `std` and the workspace's obs crate.
 //!
 //! * [`parallel_jobs`] runs a set of borrowing closures with fork-join
-//!   semantics; multi-slice kernels zip their own `chunks_mut` iterators
-//!   into it.
+//!   semantics on scoped threads; multi-slice kernels zip their own
+//!   `chunks_mut` iterators into it.
 //! * [`parallel_map`] and [`parallel_chunks_mut`] are the two slice shapes
 //!   built on it.
 //!
 //! Nested calls — a `parallel_map` inside a `parallel_map`, as in the
 //! 12-platform sweep whose per-platform suites are themselves parallel —
-//! share the same worker set: the joining thread helps drain sub-tasks
-//! instead of spawning fresh threads.
+//! run on the thread that makes them, so a nested tree stays within the
+//! width of its outermost call.
 //!
-//! Worker count defaults to [`std::thread::available_parallelism`], is
+//! The width defaults to [`std::thread::available_parallelism`], is
 //! overridden by the `ARCHLINE_THREADS` environment variable, and can be
-//! pinned programmatically with [`set_num_threads`] before the first
-//! parallel call (e.g. from a `--threads` CLI flag).
+//! pinned programmatically with [`set_num_threads`] (e.g. from a
+//! `--threads` CLI flag); each parallel call reads it afresh.
 
-#![deny(unsafe_code)] // one audited exception: executor::erase (join-barrier lifetime erasure)
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod executor;
 pub mod scope;
 
-pub use executor::Executor;
 pub use scope::{parallel_chunks_mut, parallel_jobs, parallel_map};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,7 +40,7 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// (minimum 1).
 pub fn num_threads() -> usize {
     // ordering: Relaxed — a standalone configuration word with no dependent
-    // data; set_num_threads rejects changes once the executor exists.
+    // data; each parallel call reads it once.
     let pinned = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if pinned > 0 {
         return pinned;
@@ -60,34 +55,26 @@ pub fn num_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Pins the worker count for the process-wide executor, overriding
-/// `ARCHLINE_THREADS`. Must be called before the first parallel call;
-/// returns an error once the global executor is already running (its width
-/// is fixed at creation).
+/// Pins the width of later parallel calls, overriding `ARCHLINE_THREADS`.
+/// Returns an error for a zero width.
 pub fn set_num_threads(n: usize) -> Result<(), String> {
     if n == 0 {
         return Err("thread count must be positive".into());
-    }
-    if executor::global_started() {
-        return Err(
-            "global executor already initialized; set the thread count before the first \
-             parallel call"
-                .into(),
-        );
     }
     // ordering: Relaxed — standalone configuration word, see num_threads.
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
     Ok(())
 }
 
-/// Smallest chunk handed to a worker by [`adaptive_grain`]: 8 Ki elements
-/// (64 KiB of `f64`). Below this the executor's per-job cost (boxing, queue
-/// traffic, wakeup) is a measurable fraction of the chunk's work for
-/// streaming kernels in the ~1 Gelem/s class.
+/// Smallest chunk handed to a thread by [`adaptive_grain`]: 8 Ki elements
+/// (64 KiB of `f64`). Below this the per-job cost (a pull from the shared
+/// job queue, plus a share of the batch's thread spawns) is a measurable
+/// fraction of the chunk's work for streaming kernels in the ~1 Gelem/s
+/// class.
 pub const MIN_PAR_GRAIN: usize = 1 << 13;
 
-/// Chunk length for splitting a `len`-element data-parallel loop across the
-/// executor: adapts to the input and the worker count — see
+/// Chunk length for splitting a `len`-element data-parallel loop across
+/// threads: adapts to the input and the worker count — see
 /// [`adaptive_grain_for`] for the policy.
 pub fn adaptive_grain(len: usize) -> usize {
     adaptive_grain_for(len, num_threads())
@@ -96,9 +83,10 @@ pub fn adaptive_grain(len: usize) -> usize {
 /// The grain policy behind [`adaptive_grain`], exposed with explicit inputs
 /// so it can be tested (and reported) without touching process state:
 ///
-/// * target ~4 tasks per worker, so work-stealing can rebalance a straggler
-///   without drowning the queues in tiny jobs;
-/// * never below [`MIN_PAR_GRAIN`], so executor overhead stays amortized;
+/// * target ~4 tasks per worker, so threads that pull from the shared job
+///   queue can even out a straggler without drowning in tiny jobs;
+/// * never below [`MIN_PAR_GRAIN`], so spawn and queue overhead stays
+///   amortized;
 /// * rounded up to a whole number of 64-byte cache lines of `f64` (8
 ///   elements), so chunk boundaries never make two workers write the same
 ///   line (false sharing) and the lane-structured kernels see full lanes.
@@ -148,12 +136,5 @@ mod tests {
     #[test]
     fn set_num_threads_rejects_zero() {
         assert!(set_num_threads(0).is_err());
-    }
-
-    #[test]
-    fn set_num_threads_rejects_late_calls() {
-        // Force the global executor into existence, then attempt to resize.
-        assert!(Executor::global().threads() >= 1);
-        assert!(set_num_threads(3).is_err());
     }
 }

@@ -1,34 +1,66 @@
 //! Fork-join data parallelism: one primitive, [`parallel_jobs`], and the
 //! two slice helpers built on it.
 //!
-//! Everything runs on the process-wide [`Executor`]: the first parallel
-//! call starts the workers, every later call reuses them, and nested calls
-//! (a `parallel_map` inside a `parallel_map`) are executed by the same
-//! worker set via the executor's help-while-joining protocol.
+//! Each parallel call opens a [`std::thread::scope`]: the caller and up to
+//! [`num_threads`]` - 1` scoped helper threads pull the call's jobs from
+//! one shared queue, and the scope joins the helpers before the call
+//! returns, so jobs may borrow the caller's data. A nested call (a
+//! `parallel_map` inside a `parallel_map`) runs its jobs on the thread that
+//! makes it, so a nested tree never has more than [`num_threads`] threads
+//! live.
 //!
 //! Callers fix each job's work before submission (contiguous chunks, each
 //! processed in index order by whichever thread picks it up), so results,
 //! including floating-point results, are bit-for-bit deterministic and
 //! independent of scheduling.
 
+use std::any::Any;
+use std::cell::Cell;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, MutexGuard};
+use std::{thread, vec};
 
-use crate::executor::{Executor, Job};
+use archline_obs::{self as obs, Counter, Histogram};
+
 use crate::num_threads;
 
-/// Splits `0..len` into at most `threads` contiguous chunks of roughly equal
+/// Batches run on the multi-job path.
+static BATCHES: Counter = Counter::new("par.batches");
+/// Tasks executed, regardless of which thread ran them.
+static TASKS: Counter = Counter::new("par.tasks");
+/// Task panics captured by the batch barrier.
+static TASK_PANICS: Counter = Counter::new("par.task_panics");
+/// Jobs per multi-job batch.
+static BATCH_JOBS: Histogram = Histogram::new("par.batch_jobs");
+
+thread_local! {
+    /// Set while this thread drains a batch; a nested batch then spawns no
+    /// helpers.
+    static DRAINING: Cell<bool> = const { Cell::new(false) };
+}
+
+type Payload = Box<dyn Any + Send>;
+
+/// Locks a mutex, ignoring poisoning: no code panics while holding either
+/// lock below (jobs run after the queue guard drops), so the data is whole.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Splits `0..len` into at most `parts` contiguous chunks of roughly equal
 /// size; returns the ranges (empty when `len == 0`).
-fn split_ranges(len: usize, threads: usize) -> Vec<Range<usize>> {
-    assert!(threads > 0, "need at least one thread");
+fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
+    assert!(parts > 0, "need at least one part");
     if len == 0 {
         return Vec::new();
     }
-    let threads = threads.min(len);
-    let base = len / threads;
-    let extra = len % threads;
-    let mut out = Vec::with_capacity(threads);
+    let parts = parts.min(len);
+    let base = len / parts;
+    let extra = len % parts;
+    let mut out = Vec::with_capacity(parts);
     let mut start = 0;
-    for t in 0..threads {
+    for t in 0..parts {
         let size = base + usize::from(t < extra);
         out.push(start..start + size);
         start += size;
@@ -38,8 +70,10 @@ fn split_ranges(len: usize, threads: usize) -> Vec<Range<usize>> {
 }
 
 /// Runs every job and waits for all of them (fork-join). With one worker
-/// the jobs run inline, in order; otherwise they go to the executor as one
-/// batch, and the calling thread helps run them while it waits. A job panic
+/// or fewer than two jobs the jobs run inline, in order. Otherwise the
+/// caller and up to `num_threads() - 1` scoped helpers take the jobs in
+/// index order, each under the caller's [`obs::Scope`]; a nested call on a
+/// thread already draining a batch spawns no helpers. A job panic
 /// propagates after the whole batch finishes.
 ///
 /// Multi-slice kernels zip their own `chunks_mut` iterators into the jobs;
@@ -50,23 +84,74 @@ where
     I: IntoIterator<Item = F>,
     F: FnOnce() + Send + 'scope,
 {
-    let jobs = jobs.into_iter();
-    if num_threads() <= 1 {
-        jobs.for_each(|job| job());
+    let jobs: Vec<F> = jobs.into_iter().collect();
+    let (threads, n) = (num_threads(), jobs.len());
+    if threads <= 1 || n < 2 {
+        jobs.into_iter().for_each(|job| job());
         return;
     }
-    Executor::global().run_batch(jobs.map(|job| Box::new(job) as Job<'scope>).collect());
+    BATCHES.inc();
+    BATCH_JOBS.record(n as u64);
+    let _span = obs::span_with(obs::Level::Trace, "par", "batch", &[obs::field("jobs", n as u64)]);
+    let helpers = if DRAINING.get() { 0 } else { threads.min(n) - 1 };
+    let queue = Mutex::new(jobs.into_iter());
+    let first_panic = Mutex::new(None);
+    let scope = obs::current_scope();
+    let work = || drain(&queue, &first_panic, scope);
+    thread::scope(|s| {
+        // A helper that cannot be spawned leaves its share to the others.
+        let handles: Vec<_> =
+            (0..helpers).map_while(|_| thread::Builder::new().spawn_scoped(s, work).ok()).collect();
+        work();
+        // Blocked on the helpers' jobs: the batch span's wait, not its work.
+        obs::wait(|| handles.into_iter().for_each(|h| record_panic(&first_panic, h.join())));
+    });
+    if let Some(payload) = first_panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        resume_unwind(payload);
+    }
 }
 
-/// Parallel map over a slice, preserving order.
+/// Runs jobs from `queue` until it is empty, each in a `par.task` span under
+/// `scope`, keeping the first panic payload in `first_panic`.
+fn drain<F: FnOnce()>(
+    queue: &Mutex<vec::IntoIter<F>>,
+    first_panic: &Mutex<Option<Payload>>,
+    scope: obs::Scope,
+) {
+    let _scope = scope.enter();
+    let was_draining = DRAINING.replace(true);
+    loop {
+        let next = lock(queue).next();
+        let Some(job) = next else { break };
+        TASKS.inc();
+        // Opened before `catch_unwind` so a panicking job still closes its
+        // span during unwind — the trace never shows a dangling task.
+        let _span = obs::span(obs::Level::Trace, "par", "task");
+        record_panic(first_panic, catch_unwind(AssertUnwindSafe(job)));
+    }
+    DRAINING.set(was_draining);
+}
+
+/// Keeps `result`'s panic payload if it is the batch's first.
+fn record_panic(first_panic: &Mutex<Option<Payload>>, result: thread::Result<()>) {
+    if let Err(payload) = result {
+        TASK_PANICS.inc();
+        lock(first_panic).get_or_insert(payload);
+    }
+}
+
+/// Parallel map over a slice, preserving order. The items are split into
+/// up to four contiguous jobs per thread, so threads that finish early pull
+/// the remaining jobs and uneven items (the 12 platforms' sweeps) even out.
 pub fn parallel_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let ranges = split_ranges(items.len(), num_threads());
-    if ranges.len() <= 1 {
+    let threads = num_threads();
+    let ranges = split_ranges(items.len(), 4 * threads);
+    if threads <= 1 || ranges.len() <= 1 {
         return items.iter().map(f).collect();
     }
     let mut pieces: Vec<Vec<U>> = ranges.iter().map(|_| Vec::new()).collect();
@@ -78,9 +163,8 @@ where
 }
 
 /// Runs `f(chunk_index, chunk)` over disjoint mutable chunks of `data` of
-/// size `chunk_len` (the last chunk may be shorter), in parallel. The
-/// executor bounds concurrency at its worker count even when there are many
-/// chunks.
+/// size `chunk_len` (the last chunk may be shorter), in parallel, on at
+/// most [`num_threads`] threads however many chunks there are.
 ///
 /// # Panics
 /// Panics if `chunk_len == 0`.
@@ -97,6 +181,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn split_ranges_covers_exactly_once() {
@@ -124,7 +209,6 @@ mod tests {
 
     #[test]
     fn parallel_for_touches_every_index_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let n = 10_000;
         let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let counters = &counters;
@@ -230,6 +314,30 @@ mod tests {
     }
 
     #[test]
+    fn parallel_map_lets_free_threads_take_a_stragglers_neighbours() {
+        // Item 0 finishes only once items 1..8 have. Split into one job per
+        // thread, items 1..4 would sit behind it in the same job and it
+        // would time out; split finer, the other threads take them. Pins
+        // the same width as `nested_batches_bound_concurrency`, which reads
+        // it back.
+        crate::set_num_threads(4).expect("positive width");
+        let done = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..8).collect();
+        let waited = parallel_map(&items, |&i| {
+            if i > 0 {
+                done.fetch_add(1, Ordering::SeqCst);
+                return true;
+            }
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while done.load(Ordering::SeqCst) < 7 && std::time::Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            done.load(Ordering::SeqCst) == 7
+        });
+        assert!(waited[0], "items 1..8 must run while item 0 is in progress");
+    }
+
+    #[test]
     fn parallel_chunks_mut_writes_disjointly() {
         let mut data = vec![0u32; 1003];
         parallel_chunks_mut(&mut data, 100, |idx, chunk| {
@@ -261,9 +369,7 @@ mod tests {
 
     #[test]
     fn nested_map_completes_without_deadlock() {
-        // Outer map over 8 items, each running an inner map over 64 items —
-        // the old implementation spawned a fresh thread::scope per level;
-        // the executor runs both levels on one worker set.
+        // Outer map over 8 items, each running an inner map over 64 items.
         let outer: Vec<usize> = (0..8).collect();
         let got = parallel_map(&outer, |&o| {
             let inner: Vec<usize> = (0..64).map(|i| o * 64 + i).collect();
@@ -291,9 +397,29 @@ mod tests {
             });
         }));
         assert!(err.is_err(), "nested panic must reach the outer caller");
-        // The executor stays healthy after the unwind.
+        // Fork-join still works after the unwind.
         let xs: Vec<i32> = (0..100).collect();
         assert_eq!(parallel_map(&xs, |&x| x + 1).len(), 100);
+    }
+
+    #[test]
+    fn nested_batches_bound_concurrency() {
+        // Each outer job runs its inner batch on its own thread, so however
+        // the 8 x 16 leaves are scheduled, no more than `num_threads()` run
+        // at once.
+        crate::set_num_threads(4).expect("positive width");
+        let live = AtomicUsize::new(0);
+        let high_water = AtomicUsize::new(0);
+        let leaf = || {
+            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+            high_water.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_micros(500));
+            live.fetch_sub(1, Ordering::SeqCst);
+        };
+        parallel_jobs((0..8).map(|_| || parallel_jobs((0..16).map(|_| leaf))));
+        let seen = high_water.load(Ordering::SeqCst);
+        assert!(seen >= 1, "leaves must have run");
+        assert!(seen <= num_threads(), "high water {seen} exceeds {} threads", num_threads());
     }
 
     #[test]

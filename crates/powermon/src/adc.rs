@@ -3,6 +3,8 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::noise::gauss;
+
 /// A linear analog-to-digital converter with `bits` of resolution over
 /// `[0, full_scale]`, preceded by multiplicative Gaussian sensor noise.
 ///
@@ -42,14 +44,6 @@ impl Adc {
         let clamped = noisy.clamp(0.0, self.full_scale);
         (clamped / step).round() * step
     }
-}
-
-/// Standard normal via Box–Muller (kept private to this crate; the machine
-/// simulator has its own noise module).
-pub(crate) fn gauss<R: Rng>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::adc::{gauss, Adc};
+use crate::adc::Adc;
+use crate::noise::gauss;
 use crate::rail::RailSplit;
 use crate::trace::{PowerTrace, Sample};
 

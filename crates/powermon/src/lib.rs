@@ -22,6 +22,7 @@ pub mod adc;
 pub mod device;
 pub mod interposer;
 pub mod logger;
+pub mod noise;
 pub mod rail;
 pub mod rapl;
 pub mod trace;

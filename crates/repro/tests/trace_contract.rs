@@ -8,7 +8,7 @@
 //!    parses as JSON; a traced injected run contains the fit convergence
 //!    verdicts, the fault audit (with its seed), per-artifact spans that
 //!    all close, and a final `metrics` snapshot carrying counters from the
-//!    fit, executor, powermon, and repro layers.
+//!    fit, par, powermon, and repro layers.
 
 use std::path::PathBuf;
 use std::process::Command;
